@@ -5,6 +5,10 @@
 //!   the `gap` kernel divided by its simulated cycle count. This is the
 //!   number CI's `perf-gate` job compares against the budget pinned in
 //!   `EXPERIMENTS.md` (fails on >20% regression).
+//! - **p-thread per-sim-cycle ns** — the same for `gap` with its
+//!   latency-target p-threads installed, plus the final size of the
+//!   simulator's in-flight window ring (`window_slots`, a deterministic
+//!   count).
 //! - **cold-select latency** — `Engine::prepared` + `evaluate(Latency)`
 //!   on a fresh engine: the full trace→profile→slice→critpath→sim→select
 //!   pipeline with every memo cold.
@@ -73,6 +77,23 @@ fn main() {
         println!("hotpath/reference sim gap: skipped (reference-pipeline off)");
     }
 
+    // The p-thread run: gap's latency-target selection installed.
+    let prep = Engine::new(1).prepared("gap", &cfg);
+    let pthreads = prep.select(SelectionTarget::Latency).pthreads;
+    let pth_sim = || Simulator::new(&prep.program, cfg.sim).with_pthreads(&pthreads);
+    let mut probe = pth_sim();
+    let pth_cycles = probe.run().cycles;
+    let window_slots = probe.window_slots();
+    let pth_secs = min_of(7, || pth_sim().run());
+    let pth_per_cycle_ns = pth_secs * 1e9 / pth_cycles as f64;
+    println!(
+        "hotpath/p-thread sim gap: {:.1}ms ({pth_cycles} cycles, {} p-threads, \
+         {window_slots} window slots)",
+        pth_secs * 1e3,
+        pthreads.len()
+    );
+    println!("hotpath/p-thread per-sim-cycle: {pth_per_cycle_ns:.2} ns");
+
     // Cold select: a fresh engine per sample so every memo layer misses.
     let cold_secs = min_of(5, || {
         let engine = Engine::new(1);
@@ -87,9 +108,13 @@ fn main() {
              \"per_sim_cycle_ns\":{per_cycle_ns:.2},\
              \"sim_ms\":{:.2},\"reference_sim_ms\":{:.2},\
              \"reference_over_fast\":{ratio:.2},\
+             \"pthread_cycles\":{pth_cycles},\
+             \"pthread_per_sim_cycle_ns\":{pth_per_cycle_ns:.2},\
+             \"pthread_sim_ms\":{:.2},\"window_slots\":{window_slots},\
              \"cold_select_ms\":{:.2},\"samples\":\"min-of-N\"}}\n",
             sim_secs * 1e3,
             ref_secs * 1e3,
+            pth_secs * 1e3,
             cold_secs * 1e3,
         );
         std::fs::write(&path, json).expect("write BENCH_HOTPATH_JSON");

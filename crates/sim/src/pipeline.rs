@@ -27,11 +27,32 @@
 //! `reference-pipeline` feature, and differentially tested against it in
 //! `tests/fastpath.rs`):
 //!
-//! * The in-flight window is a flat **struct-of-arrays arena** indexed by
-//!   `InstId`: state, dependences (inline, at most two register sources
-//!   plus one store-set producer), completion times, and addresses live in
+//! * The in-flight window is a power-of-two **struct-of-arrays ring**:
+//!   state, dependences (inline, at most two register sources plus one
+//!   store-set producer), completion times, and addresses live in
 //!   parallel vectors, so the issue scan touches dense memory instead of
-//!   chasing per-instruction heap allocations.
+//!   chasing per-instruction heap allocations. An `InstId` is the `u64`
+//!   dispatch sequence number — monotonic, never reused — and lives in
+//!   slot `id & mask`; each slot records its occupant's id as a tag.
+//! * **Dead horizon.** Slots are recycled behind a `tail` id that
+//!   advances lazily, only when a dispatch finds the ring full. It moves
+//!   past an id only while that id is older than the ROB head and is
+//!   dead: squashed, or issued with `done_at <= now`. Everything the
+//!   pipeline still reads lives at or above the horizon — ROB entries,
+//!   waiting instructions, and every consumer on a not-yet-issued
+//!   producer's waiter chain (consumers are younger than their producer,
+//!   and the horizon only crosses a run of consecutive dead ids). What
+//!   can point below it are calendar entries of squashed instructions
+//!   and register/store producer references; both are recognised by a
+//!   tag mismatch. A reused producer reads as "issued, `done_at` 0",
+//!   which is exact: its true `done_at` was `<= now` when it died, and
+//!   every reader either compares it against `now` or takes its max with
+//!   a consumer's `dispatched_at + 1 > now` or with a live producer's
+//!   completion — as does `next_event_cycle`, whose result changes only
+//!   when it was already `<= now`. Wrong-path instructions never become
+//!   producers, so a squashed producer is never read. When a dispatch
+//!   would overwrite an id still above the horizon, the ring doubles and
+//!   rehomes ids `tail..next`; nothing is ever dropped.
 //! * Speculative memory and the store-producer set use
 //!   [`preexec_isa::FlatMap`] (open addressing, splitmix64) instead of
 //!   SipHash `HashMap`s; trigger, hint, and branch-occurrence tables are
@@ -57,8 +78,12 @@ use pthsel::PThread;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Index of an in-flight instruction in the window arena.
-type InstId = u32;
+/// Dispatch sequence number of an in-flight instruction: monotonic over
+/// the whole run and never reused. Its window slot is `id & mask`.
+type InstId = u64;
+
+/// Sentinel: "no waiter-chain link" and "slot never occupied".
+const NONE: u64 = u64::MAX;
 
 const MAIN: u8 = u8::MAX;
 
@@ -80,11 +105,21 @@ enum State {
     Squashed,
 }
 
-/// The in-flight instruction arena, struct-of-arrays: one entry per
-/// dispatched instruction, never removed (ids stay valid for the whole
-/// run, exactly like the reference pipeline's `Vec<InFlight>` arena).
-#[derive(Clone, Debug, Default)]
+/// The in-flight instruction window: a power-of-two ring of
+/// struct-of-arrays slots, recycled behind the dead horizon `tail` (see
+/// the module docs for the rule and why reads below it are exact). The
+/// ring grows, never drops, when a dispatch would overwrite an id that
+/// is still needed.
+#[derive(Clone, Debug)]
 struct Window {
+    /// Capacity minus one; the capacity is a power of two.
+    mask: u64,
+    /// The id the next dispatch receives.
+    next: InstId,
+    /// Every id below this one is dead and may have lost its slot.
+    tail: InstId,
+    /// Occupant id of each slot (`NONE` until first filled).
+    tag: Vec<InstId>,
     /// `MAIN` or p-thread context index.
     thread: Vec<u8>,
     inst: Vec<Inst>,
@@ -111,59 +146,173 @@ struct Window {
     /// the last one to issue computes the final ready cycle.
     pending: Vec<u8>,
     /// Head of this instruction's waiter chain: consumers to wake when it
-    /// issues, encoded as `consumer * MAX_DEPS + dep_slot` (`u32::MAX` =
-    /// none).
-    waiter_head: Vec<u32>,
-    /// Per-dependence-slot chain links for the waiter lists.
-    waiter_next: Vec<[u32; MAX_DEPS]>,
+    /// issues, encoded as `consumer_id * MAX_DEPS + dep_index` (`NONE` =
+    /// none). Links name ids, not slots, so growing the ring never
+    /// re-encodes them.
+    waiter_head: Vec<u64>,
+    /// Per-dependence chain links for the waiter lists.
+    waiter_next: Vec<[u64; MAX_DEPS]>,
 }
 
 const STATE_WAITING: u8 = 0;
 const STATE_ISSUED: u8 = 1;
 const STATE_SQUASHED: u8 = 2;
 
+/// Moves the entries of ids `live` from a ring of mask `old` into a fresh
+/// one of mask `new`, every other slot holding `fill`.
+fn rehome<T: Clone>(v: &mut Vec<T>, fill: T, live: std::ops::Range<u64>, old: u64, new: u64) {
+    let mut grown = vec![fill.clone(); (new + 1) as usize];
+    for id in live {
+        grown[(id & new) as usize] = std::mem::replace(&mut v[(id & old) as usize], fill.clone());
+    }
+    *v = grown;
+}
+
 impl Window {
-    fn len(&self) -> usize {
-        self.thread.len()
+    fn with_capacity(capacity: usize) -> Window {
+        let n = capacity.next_power_of_two();
+        Window {
+            mask: n as u64 - 1,
+            next: 0,
+            tail: 0,
+            tag: vec![NONE; n],
+            thread: vec![MAIN; n],
+            inst: vec![Inst::Nop; n],
+            wrong_path: vec![false; n],
+            state: vec![STATE_SQUASHED; n],
+            deps: vec![[0; MAX_DEPS]; n],
+            dep_cnt: vec![0; n],
+            dispatched_at: vec![0; n],
+            done_at: vec![0; n],
+            addr: vec![0; n],
+            checkpoint: vec![None; n],
+            pos_in_waiting: vec![u32::MAX; n],
+            pending: vec![0; n],
+            waiter_head: vec![NONE; n],
+            waiter_next: vec![[NONE; MAX_DEPS]; n],
+        }
     }
 
+    fn capacity(&self) -> usize {
+        self.tag.len()
+    }
+
+    #[inline]
+    fn slot(&self, id: InstId) -> usize {
+        (id & self.mask) as usize
+    }
+
+    /// Fills the next id's slot, first recycling dead slots (below
+    /// `rob_front`, the oldest id the ROB still holds) or growing the
+    /// ring if it is full. `now` is the dispatch cycle.
     #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
+        rob_front: InstId,
         thread: u8,
         inst: Inst,
         wrong_path: bool,
         deps: [InstId; MAX_DEPS],
         dep_cnt: u8,
-        dispatched_at: u64,
+        now: u64,
         addr: u64,
         checkpoint: Option<Box<CommitSpawn>>,
     ) -> InstId {
-        let id = self.thread.len() as InstId;
-        self.thread.push(thread);
-        self.inst.push(inst);
-        self.wrong_path.push(wrong_path);
-        self.state.push(STATE_WAITING);
-        self.deps.push(deps);
-        self.dep_cnt.push(dep_cnt);
-        self.dispatched_at.push(dispatched_at);
-        self.done_at.push(u64::MAX);
-        self.addr.push(addr);
-        self.checkpoint.push(checkpoint);
-        self.pos_in_waiting.push(u32::MAX);
-        self.pending.push(0);
-        self.waiter_head.push(u32::MAX);
-        self.waiter_next.push([u32::MAX; MAX_DEPS]);
+        if self.next - self.tail > self.mask {
+            self.make_room(rob_front, now);
+        }
+        let id = self.next;
+        self.next += 1;
+        let s = self.slot(id);
+        self.tag[s] = id;
+        self.thread[s] = thread;
+        self.inst[s] = inst;
+        self.wrong_path[s] = wrong_path;
+        self.state[s] = STATE_WAITING;
+        self.deps[s] = deps;
+        self.dep_cnt[s] = dep_cnt;
+        self.dispatched_at[s] = now;
+        self.done_at[s] = u64::MAX;
+        self.addr[s] = addr;
+        self.checkpoint[s] = checkpoint;
+        self.pos_in_waiting[s] = u32::MAX;
+        self.pending[s] = 0;
+        self.waiter_head[s] = NONE;
+        self.waiter_next[s] = [NONE; MAX_DEPS];
         id
     }
 
+    /// Advances the dead horizon as far as it may go; doubles the ring if
+    /// that frees no slot.
+    #[cold]
+    fn make_room(&mut self, rob_front: InstId, now: u64) {
+        while self.tail < rob_front {
+            let s = self.slot(self.tail);
+            let dead = self.state[s] == STATE_SQUASHED
+                || (self.state[s] == STATE_ISSUED && self.done_at[s] <= now);
+            if !dead {
+                break;
+            }
+            self.tail += 1;
+        }
+        if self.next - self.tail > self.mask {
+            let (old, new) = (self.mask, self.mask << 1 | 1);
+            let live = self.tail..self.next;
+            rehome(&mut self.tag, NONE, live.clone(), old, new);
+            rehome(&mut self.thread, MAIN, live.clone(), old, new);
+            rehome(&mut self.inst, Inst::Nop, live.clone(), old, new);
+            rehome(&mut self.wrong_path, false, live.clone(), old, new);
+            rehome(&mut self.state, STATE_SQUASHED, live.clone(), old, new);
+            rehome(&mut self.deps, [0; MAX_DEPS], live.clone(), old, new);
+            rehome(&mut self.dep_cnt, 0, live.clone(), old, new);
+            rehome(&mut self.dispatched_at, 0, live.clone(), old, new);
+            rehome(&mut self.done_at, 0, live.clone(), old, new);
+            rehome(&mut self.addr, 0, live.clone(), old, new);
+            rehome(&mut self.checkpoint, None, live.clone(), old, new);
+            rehome(&mut self.pos_in_waiting, u32::MAX, live.clone(), old, new);
+            rehome(&mut self.pending, 0, live.clone(), old, new);
+            rehome(&mut self.waiter_head, NONE, live.clone(), old, new);
+            rehome(&mut self.waiter_next, [NONE; MAX_DEPS], live, old, new);
+            self.mask = new;
+        }
+    }
+
+    /// Whether `id` still occupies its slot.
+    #[inline]
+    fn holds(&self, id: InstId) -> bool {
+        self.tag[self.slot(id)] == id
+    }
+
+    /// `id`'s state; an id whose slot was reused reads as issued (it died
+    /// squashed or complete, and only producers are read that way).
     #[inline]
     fn state_of(&self, id: InstId) -> State {
-        match self.state[id as usize] {
+        if !self.holds(id) {
+            return State::Issued;
+        }
+        match self.state[self.slot(id)] {
             STATE_WAITING => State::Waiting,
             STATE_ISSUED => State::Issued,
             _ => State::Squashed,
         }
+    }
+
+    /// A producer's completion cycle: `u64::MAX` until it issues, and 0
+    /// once its slot was reused (exact; see the module docs).
+    #[inline]
+    fn done_of(&self, id: InstId) -> u64 {
+        if self.holds(id) {
+            self.done_at[self.slot(id)]
+        } else {
+            0
+        }
+    }
+
+    /// Whether `id` occupies its slot and still waits to issue; false for
+    /// a stale calendar entry of a squashed instruction.
+    #[inline]
+    fn is_waiting(&self, id: InstId) -> bool {
+        self.holds(id) && self.state[self.slot(id)] == STATE_WAITING
     }
 }
 
@@ -380,7 +529,9 @@ impl<'p> Simulator<'p> {
             spec_mem,
             reg_producer: [None; NUM_ARCH_REGS],
             store_producer: FlatMap::new(),
-            window: Window::default(),
+            // Room for a full ROB plus reservation stations; p-thread
+            // runs grow it past that on demand.
+            window: Window::with_capacity(cfg.rob_size + cfg.rs_size),
             rob: VecDeque::new(),
             waiting: Vec::new(),
             // Wheel horizon: comfortably past one full memory round
@@ -560,6 +711,14 @@ impl<'p> Simulator<'p> {
         self.executed_cycles
     }
 
+    /// Slots in the in-flight window ring: it starts at the ROB plus the
+    /// reservation stations (rounded up to a power of two) and doubles
+    /// whenever a dispatch would overwrite an instruction still needed.
+    /// Diagnostic only (never part of the report).
+    pub fn window_slots(&self) -> usize {
+        self.window.capacity()
+    }
+
     /// Architectural register values of the in-order (speculative) state;
     /// equal to the committed state once the run finishes.
     pub fn spec_regs(&self) -> [u64; NUM_ARCH_REGS] {
@@ -612,7 +771,7 @@ impl<'p> Simulator<'p> {
         // (A still-waiting one is covered by its issue candidate below.)
         if let Some(bid) = self.redirect_branch {
             if self.window.state_of(bid) == State::Issued {
-                t = t.min(self.window.done_at[bid as usize]);
+                t = t.min(self.window.done_of(bid));
             }
         }
         // Commit: the ROB head retires at done_at once issued. A squashed
@@ -620,7 +779,7 @@ impl<'p> Simulator<'p> {
         // Waiting (covered below) or Issued heads reach here.
         if let Some(&head) = self.rob.front() {
             if self.window.state_of(head) == State::Issued {
-                t = t.min(self.window.done_at[head as usize]);
+                t = t.min(self.window.done_of(head));
             }
         }
         // Issue: per waiting instruction, the earliest cycle its operands
@@ -634,17 +793,17 @@ impl<'p> Simulator<'p> {
             0
         };
         'waiting: for &id in &self.waiting {
-            let i = id as usize;
+            let i = self.window.slot(id);
             let mut c = self.window.dispatched_at[i] + 1;
             let n = self.window.dep_cnt[i] as usize;
             for k in 0..n {
-                let d = self.window.deps[i][k] as usize;
-                if self.window.state[d] != STATE_ISSUED {
+                let done = self.window.done_of(self.window.deps[i][k]);
+                if done == u64::MAX {
                     // Producer not yet issued: this instruction cannot be
                     // the next event (its producer's issue is).
                     continue 'waiting;
                 }
-                c = c.max(self.window.done_at[d]);
+                c = c.max(done);
             }
             if mshr_full && self.window.inst[i].class() == InstClass::Load {
                 c = c.max(mshr_free_at);
@@ -681,8 +840,8 @@ impl<'p> Simulator<'p> {
         let Some(bid) = self.redirect_branch else {
             return false;
         };
-        let done = self.window.state_of(bid) == State::Issued
-            && self.window.done_at[bid as usize] <= self.cycle;
+        let done =
+            self.window.state_of(bid) == State::Issued && self.window.done_of(bid) <= self.cycle;
         if !done {
             return false;
         }
@@ -693,20 +852,21 @@ impl<'p> Simulator<'p> {
         let window = &mut self.window;
         let mut keep = 0;
         for i in 0..self.waiting.len() {
-            let id = self.waiting[i];
-            if window.wrong_path[id as usize] {
-                window.state[id as usize] = STATE_SQUASHED;
-                window.pos_in_waiting[id as usize] = u32::MAX;
+            let s = window.slot(self.waiting[i]);
+            if window.wrong_path[s] {
+                window.state[s] = STATE_SQUASHED;
+                window.pos_in_waiting[s] = u32::MAX;
             } else {
-                self.waiting[keep] = id;
-                window.pos_in_waiting[id as usize] = keep as u32;
+                self.waiting[keep] = self.waiting[i];
+                window.pos_in_waiting[s] = keep as u32;
                 keep += 1;
             }
         }
         self.waiting.truncate(keep);
         while let Some(&tail) = self.rob.back() {
-            if self.window.wrong_path[tail as usize] {
-                self.window.state[tail as usize] = STATE_SQUASHED;
+            let s = self.window.slot(tail);
+            if self.window.wrong_path[s] {
+                self.window.state[s] = STATE_SQUASHED;
                 self.rob.pop_back();
             } else {
                 break;
@@ -728,7 +888,7 @@ impl<'p> Simulator<'p> {
             let Some(&head) = self.rob.front() else {
                 return progressed;
             };
-            let i = head as usize;
+            let i = self.window.slot(head);
             let state = self.window.state_of(head);
             if state == State::Squashed {
                 self.rob.pop_front();
@@ -826,7 +986,7 @@ impl<'p> Simulator<'p> {
             for k in 0..self.wheel[slot].len() {
                 let id = self.wheel[slot][k];
                 self.calendar_len -= 1;
-                if self.window.state[id as usize] == STATE_WAITING {
+                if self.window.is_waiting(id) {
                     self.issue_cand.push(id);
                 }
             }
@@ -838,7 +998,7 @@ impl<'p> Simulator<'p> {
             }
             for id in entry.remove() {
                 self.calendar_len -= 1;
-                if self.window.state[id as usize] == STATE_WAITING {
+                if self.window.is_waiting(id) {
                     self.issue_cand.push(id);
                 }
             }
@@ -855,7 +1015,7 @@ impl<'p> Simulator<'p> {
         // swap-remove on issue is mirrored below so relative order
         // evolves identically to a full scan.
         self.issue_cand
-            .sort_unstable_by_key(|&id| self.window.pos_in_waiting[id as usize]);
+            .sort_unstable_by_key(|&id| self.window.pos_in_waiting[self.window.slot(id)]);
         let mut issued = 0;
         let mut loads = 0;
         let mut stores = 0;
@@ -872,7 +1032,7 @@ impl<'p> Simulator<'p> {
                 break;
             }
             let id = self.issue_cand[ci];
-            let class = self.window.inst[id as usize].class();
+            let class = self.window.inst[self.window.slot(id)].class();
             match class {
                 InstClass::Load => {
                     if loads >= self.cfg.load_ports
@@ -901,12 +1061,14 @@ impl<'p> Simulator<'p> {
             // scan does not advance past the hole — is examined next if
             // it was itself a pending candidate (its old position, the
             // list tail, was necessarily after every pending candidate).
-            let p = self.window.pos_in_waiting[id as usize] as usize;
+            let s = self.window.slot(id);
+            let p = self.window.pos_in_waiting[s] as usize;
             self.waiting.swap_remove(p);
-            self.window.pos_in_waiting[id as usize] = u32::MAX;
+            self.window.pos_in_waiting[s] = u32::MAX;
             if p < self.waiting.len() {
                 let moved = self.waiting[p];
-                self.window.pos_in_waiting[moved as usize] = p as u32;
+                let ms = self.window.slot(moved);
+                self.window.pos_in_waiting[ms] = p as u32;
                 if let Some(j) = self.issue_cand[ci + 1..].iter().position(|&c| c == moved) {
                     self.issue_cand[ci + 1..=ci + 1 + j].rotate_right(1);
                 }
@@ -936,15 +1098,18 @@ impl<'p> Simulator<'p> {
     /// otherwise it registers on each unissued producer's waiter chain
     /// and the last producer to issue files it (see [`Simulator::wake`]).
     fn enqueue_waiting(&mut self, id: InstId) {
-        let i = id as usize;
-        self.window.pos_in_waiting[i] = self.waiting.len() as u32;
+        let w = &mut self.window;
+        let i = w.slot(id);
+        w.pos_in_waiting[i] = self.waiting.len() as u32;
         self.waiting.push(id);
         let mut pending = 0u8;
-        for k in 0..self.window.dep_cnt[i] as usize {
-            let d = self.window.deps[i][k] as usize;
-            if self.window.done_at[d] == u64::MAX {
-                self.window.waiter_next[i][k] = self.window.waiter_head[d];
-                self.window.waiter_head[d] = (i * MAX_DEPS + k) as u32;
+        for k in 0..w.dep_cnt[i] as usize {
+            let d = w.deps[i][k];
+            if w.done_of(d) == u64::MAX {
+                // An unissued producer still holds its slot.
+                let ds = w.slot(d);
+                w.waiter_next[i][k] = w.waiter_head[ds];
+                w.waiter_head[ds] = id * MAX_DEPS as u64 + k as u64;
                 pending += 1;
             }
         }
@@ -952,9 +1117,10 @@ impl<'p> Simulator<'p> {
             let at = self.ready_at(id);
             self.bucket_insert(at, id);
         } else {
-            // A producer squashed before issuing keeps `done_at ==
-            // u64::MAX` forever, so its waiters are never woken — exactly
-            // the reference's "never ready" outcome for them.
+            // Producers are never squashed (wrong-path instructions are
+            // never recorded as producers), so the last one to issue
+            // always files this instruction.
+            let i = self.window.slot(id);
             self.window.pending[i] = pending;
         }
     }
@@ -965,15 +1131,15 @@ impl<'p> Simulator<'p> {
     /// calendar. Ready cycles are at least `done_at > cycle`, so a wake
     /// can never add a candidate to the cycle being issued.
     fn wake(&mut self, id: InstId) {
-        let mut e = self.window.waiter_head[id as usize];
-        while e != u32::MAX {
-            let c = (e as usize) / MAX_DEPS;
-            let k = (e as usize) % MAX_DEPS;
-            e = self.window.waiter_next[c][k];
-            self.window.pending[c] -= 1;
-            if self.window.pending[c] == 0 && self.window.state[c] == STATE_WAITING {
-                let at = self.ready_at(c as InstId);
-                self.bucket_insert(at, c as InstId);
+        let mut e = self.window.waiter_head[self.window.slot(id)];
+        while e != NONE {
+            let c = e / MAX_DEPS as u64;
+            let s = self.window.slot(c);
+            e = self.window.waiter_next[s][(e % MAX_DEPS as u64) as usize];
+            self.window.pending[s] -= 1;
+            if self.window.pending[s] == 0 && self.window.state[s] == STATE_WAITING {
+                let at = self.ready_at(c);
+                self.bucket_insert(at, c);
             }
         }
     }
@@ -985,12 +1151,11 @@ impl<'p> Simulator<'p> {
     /// squash keeps its finite `done_at`, matching the reference.)
     #[inline]
     fn ready_at(&self, id: InstId) -> u64 {
-        let i = id as usize;
+        let i = self.window.slot(id);
         let mut r = self.window.dispatched_at[i] + 1;
         let n = self.window.dep_cnt[i] as usize;
         for k in 0..n {
-            let d = self.window.deps[i][k] as usize;
-            r = r.max(self.window.done_at[d]);
+            r = r.max(self.window.done_of(self.window.deps[i][k]));
         }
         r
     }
@@ -998,7 +1163,7 @@ impl<'p> Simulator<'p> {
     fn do_issue(&mut self, id: InstId) {
         #[cfg(feature = "sanitize")]
         self.sanitize_issue(id);
-        let i = id as usize;
+        let i = self.window.slot(id);
         let thread = self.window.thread[i];
         let inst = self.window.inst[i];
         let addr = self.window.addr[i];
@@ -1136,6 +1301,12 @@ impl<'p> Simulator<'p> {
         self.waiting.len()
     }
 
+    /// The oldest id the ROB still holds (the next id when it is empty):
+    /// the dead horizon never passes it.
+    fn rob_front(&self) -> InstId {
+        self.rob.front().copied().unwrap_or(self.window.next)
+    }
+
     fn dispatch_pinst(&mut self, ci: usize) {
         let ctx = self.contexts[ci].as_mut().expect("active context");
         let inst = ctx.body[ctx.next];
@@ -1179,9 +1350,17 @@ impl<'p> Simulator<'p> {
         } else {
             value
         };
-        let id = self
-            .window
-            .push(ci as u8, inst, false, deps, dep_cnt, self.cycle, addr, None);
+        let id = self.window.push(
+            self.rob_front(),
+            ci as u8,
+            inst,
+            false,
+            deps,
+            dep_cnt,
+            self.cycle,
+            addr,
+            None,
+        );
         let ctx = self.contexts[ci].as_mut().expect("active context");
         if let Some(dst) = inst.dst() {
             ctx.regs[dst.index()] = value;
@@ -1283,7 +1462,7 @@ impl<'p> Simulator<'p> {
 
     fn decode_one(&mut self, f: Fetched) {
         let inst = *self.program.inst(f.pc);
-        let id = self.window.len() as InstId;
+        let id = self.window.next;
         // Dependences from the latest in-flight producers.
         let mut deps = [0 as InstId; MAX_DEPS];
         let mut dep_cnt = 0u8;
@@ -1405,7 +1584,8 @@ impl<'p> Simulator<'p> {
             }
         }
         let is_alu = matches!(inst.class(), InstClass::IntAlu | InstClass::IntMul);
-        self.window.push(
+        let pushed = self.window.push(
+            self.rob_front(),
             MAIN,
             inst,
             f.wrong_path,
@@ -1415,6 +1595,7 @@ impl<'p> Simulator<'p> {
             addr,
             checkpoint,
         );
+        debug_assert_eq!(pushed, id, "decode dispatched out of sequence");
         self.rob.push_back(id);
         self.enqueue_waiting(id);
         self.report.counts.dispatch_main += 1;
@@ -1569,6 +1750,30 @@ impl Simulator<'_> {
             self.contexts.len(),
             self.cfg.pthread_contexts
         );
+        // The window ring: the dead horizon never passes the ROB head, the
+        // ring holds every id from the horizon up, and every ROB entry and
+        // reservation station still owns its slot.
+        let (tail, next) = (self.window.tail, self.window.next);
+        sanity!(
+            self,
+            tail <= self.rob_front(),
+            "dead horizon {tail} passed the ROB head {}",
+            self.rob_front()
+        );
+        sanity!(
+            self,
+            next - tail <= self.window.capacity() as u64,
+            "ids {tail}..{next} overflow a {}-slot ring",
+            self.window.capacity()
+        );
+        for &id in self.rob.iter().chain(&self.waiting) {
+            sanity!(
+                self,
+                self.window.holds(id),
+                "id {id} lost its slot to id {}",
+                self.window.tag[self.window.slot(id)]
+            );
+        }
         // The ROB is a queue in program (dispatch) order.
         for w in 0..self.rob.len().saturating_sub(1) {
             sanity!(
@@ -1588,9 +1793,8 @@ impl Simulator<'_> {
                 "id {id} occupies a reservation station in state {:?}",
                 self.window.state_of(id)
             );
-            let n = self.window.dep_cnt[id as usize] as usize;
-            for k in 0..n {
-                let d = self.window.deps[id as usize][k];
+            let s = self.window.slot(id);
+            for &d in &self.window.deps[s][..self.window.dep_cnt[s] as usize] {
                 sanity!(self, d < id, "id {id} depends on later id {d}");
             }
         }
@@ -1685,13 +1889,13 @@ impl Simulator<'_> {
     /// The ROB retires in order: ids commit strictly ascending, and only
     /// completed, correct-path instructions ever commit.
     fn sanitize_commit(&mut self, head: InstId) {
-        let i = head as usize;
+        let i = self.window.slot(head);
         sanity!(
             self,
-            self.window.state_of(head) == State::Issued && self.window.done_at[i] <= self.cycle,
+            self.window.state_of(head) == State::Issued && self.window.done_of(head) <= self.cycle,
             "id {head} committed in state {:?} (done_at {})",
             self.window.state_of(head),
-            self.window.done_at[i]
+            self.window.done_of(head)
         );
         sanity!(
             self,
@@ -1708,7 +1912,7 @@ impl Simulator<'_> {
     /// produced its value (or been squashed) by this cycle, and at least
     /// one cycle has passed since dispatch.
     fn sanitize_issue(&self, id: InstId) {
-        let i = id as usize;
+        let i = self.window.slot(id);
         sanity!(
             self,
             self.window.state_of(id) == State::Waiting,
@@ -1724,7 +1928,7 @@ impl Simulator<'_> {
         for k in 0..n {
             let d = self.window.deps[i][k];
             let ready = match self.window.state_of(d) {
-                State::Issued => self.window.done_at[d as usize] <= self.cycle,
+                State::Issued => self.window.done_of(d) <= self.cycle,
                 State::Squashed => true,
                 State::Waiting => false,
             };
@@ -1733,7 +1937,7 @@ impl Simulator<'_> {
                 ready,
                 "id {id} issued before operand producer {d} (state {:?}, done_at {}) was ready",
                 self.window.state_of(d),
-                self.window.done_at[d as usize]
+                self.window.done_of(d)
             );
         }
     }
@@ -1833,15 +2037,17 @@ mod tests {
         assert!(rep.ipc() < 2.0, "ipc = {}", rep.ipc());
     }
 
-    #[test]
-    fn pthread_prefetching_speeds_up_memory_bound_loop() {
+    /// A memory-bound loop whose problem load (pc 5) strides a page per
+    /// iteration, plus a hand-built p-thread that, on decoding the
+    /// induction `i++` (pc 31), computes the address 4 iterations ahead.
+    /// Each iteration carries enough serial work that the 128-entry ROB
+    /// holds only ~4 iterations: the main thread cannot generate memory
+    /// parallelism on its own (the paper's problem-load scenario), but the
+    /// address is computable arbitrarily far ahead.
+    fn prefetchable_loop(iters: i64) -> (Program, PThread) {
         use preexec_isa::AluOp;
-        // Each iteration carries enough serial work that the 128-entry ROB
-        // holds only ~4 iterations: the main thread cannot generate memory
-        // parallelism on its own (the paper's problem-load scenario), but
-        // the address is computable arbitrarily far ahead.
         let mut b = ProgramBuilder::new("membound");
-        b.li(r(1), 0x100000).li(r(2), 0).li(r(3), 500);
+        b.li(r(1), 0x100000).li(r(2), 0).li(r(3), iters);
         b.label("top");
         b.muli(r(4), r(2), 4096); // pc 3
         b.add(r(4), r(4), r(1)); // pc 4
@@ -1853,9 +2059,6 @@ mod tests {
         b.addi(r(2), r(2), 1); // pc 31: induction (trigger)
         b.blt(r(2), r(3), "top"); // pc 32
         b.halt();
-        let p = b.build();
-        let base = Simulator::new(&p, SimConfig::default()).run();
-        // Hand-built p-thread: on decoding `i++`, run 4 iterations ahead.
         let body = vec![
             Inst::AluImm {
                 op: AluOp::Add,
@@ -1885,13 +2088,20 @@ mod tests {
             trigger_pc: 31,
             body,
             targets: vec![5],
-            dc_trig: 500,
-            dc_ptcm: 500,
+            dc_trig: iters as u64,
+            dc_ptcm: iters as u64,
             ladv_agg: 0.0,
             eadv_agg: 0.0,
             branch_hint: None,
             hint_lookahead: 0,
         };
+        (b.build(), pt)
+    }
+
+    #[test]
+    fn pthread_prefetching_speeds_up_memory_bound_loop() {
+        let (p, pt) = prefetchable_loop(500);
+        let base = Simulator::new(&p, SimConfig::default()).run();
         let opt = Simulator::new(&p, SimConfig::default())
             .with_pthreads(std::slice::from_ref(&pt))
             .run();
@@ -2195,58 +2405,8 @@ mod tests {
     /// deactivate across the run, exercising the active-context guard.
     #[test]
     fn fast_forward_matches_stepping_with_pthreads() {
-        use preexec_isa::AluOp;
         use preexec_json::ToJson;
-        let mut b = ProgramBuilder::new("ffpth");
-        b.li(r(1), 0x100000).li(r(2), 0).li(r(3), 300);
-        b.label("top");
-        b.muli(r(4), r(2), 4096);
-        b.add(r(4), r(4), r(1));
-        b.ld(r(5), r(4), 0);
-        b.add(r(6), r(6), r(5));
-        for _ in 0..24 {
-            b.addi(r(7), r(7), 3);
-        }
-        b.addi(r(2), r(2), 1); // pc 31: trigger
-        b.blt(r(2), r(3), "top");
-        b.halt();
-        let p = b.build();
-        let body = vec![
-            Inst::AluImm {
-                op: AluOp::Add,
-                dst: r(2),
-                src1: r(2),
-                imm: 4,
-            },
-            Inst::AluImm {
-                op: AluOp::Mul,
-                dst: r(4),
-                src1: r(2),
-                imm: 4096,
-            },
-            Inst::Alu {
-                op: AluOp::Add,
-                dst: r(4),
-                src1: r(4),
-                src2: r(1),
-            },
-            Inst::Load {
-                dst: r(5),
-                base: r(4),
-                offset: 0,
-            },
-        ];
-        let pt = PThread {
-            trigger_pc: 31,
-            body,
-            targets: vec![5],
-            dc_trig: 300,
-            dc_ptcm: 300,
-            ladv_agg: 0.0,
-            eadv_agg: 0.0,
-            branch_hint: None,
-            hint_lookahead: 0,
-        };
+        let (p, pt) = prefetchable_loop(300);
         let fast_rep = Simulator::new(&p, SimConfig::default())
             .with_pthreads(std::slice::from_ref(&pt))
             .run();
@@ -2258,5 +2418,84 @@ mod tests {
             fast_rep.to_json().to_string(),
             slow_rep.to_json().to_string()
         );
+    }
+
+    /// Dispatch ids are `u64`: a run whose sequence starts just below 2^32
+    /// — where a 32-bit id, and long before it a 32-bit waiter link
+    /// `id * MAX_DEPS + k`, would wrap — reports exactly what a run
+    /// starting at 0 does.
+    #[test]
+    fn dispatch_ids_past_u32_match_a_run_from_zero() {
+        use preexec_json::ToJson;
+        let (p, pt) = prefetchable_loop(300);
+        let mut from_zero =
+            Simulator::new(&p, SimConfig::default()).with_pthreads(std::slice::from_ref(&pt));
+        let want = from_zero.run();
+        let mut high =
+            Simulator::new(&p, SimConfig::default()).with_pthreads(std::slice::from_ref(&pt));
+        let first = (1 << 32) - 1000;
+        high.window.next = first;
+        high.window.tail = first;
+        let got = high.run();
+        assert!(
+            high.window.next > 1 << 32,
+            "the run must cross 2^32: ended at id {}",
+            high.window.next
+        );
+        assert_eq!(high.window.next - first, from_zero.window.next);
+        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
+    }
+
+    /// The dead-horizon rule, slot by slot: the ring reuses a slot only
+    /// once its id is older than the ROB head and squashed or complete,
+    /// and doubles otherwise; stale ids read as the module docs describe.
+    #[test]
+    fn window_reuses_only_dead_slots_below_the_rob_head() {
+        fn push(w: &mut Window, rob_front: InstId) -> InstId {
+            w.push(
+                rob_front,
+                MAIN,
+                Inst::Nop,
+                false,
+                [0; MAX_DEPS],
+                0,
+                10,
+                0,
+                None,
+            )
+        }
+        let mut w = Window::with_capacity(4);
+        for id in 0..4 {
+            assert_eq!(push(&mut w, 0), id);
+        }
+        // Id 0 completed at cycle 5, id 1 was squashed, id 2 issued and
+        // completes at cycle 50, id 3 still waits. It is now cycle 10.
+        let (s0, s1, s2) = (w.slot(0), w.slot(1), w.slot(2));
+        (w.state[s0], w.done_at[s0]) = (STATE_ISSUED, 5);
+        w.state[s1] = STATE_SQUASHED;
+        (w.state[s2], w.done_at[s2]) = (STATE_ISSUED, 50);
+        // With the ROB head at id 1, only id 0's slot is reused, and the
+        // reused id reads as issued at cycle 0.
+        assert_eq!(push(&mut w, 1), 4);
+        assert_eq!(w.capacity(), 4);
+        assert_eq!((w.state_of(0), w.done_of(0)), (State::Issued, 0));
+        // Squashed id 1 is dead but still in the ROB: the ring doubles.
+        assert_eq!(push(&mut w, 1), 5);
+        assert_eq!(w.capacity(), 8);
+        assert!((1..=5).all(|id| w.holds(id)));
+        // Once the ROB moves on, id 1's slot goes to a new waiting id, and
+        // a stale calendar entry for id 1 no longer reads as waiting.
+        for id in 6..9 {
+            assert_eq!(push(&mut w, 1), id);
+        }
+        assert_eq!(push(&mut w, 9), 9);
+        assert_eq!(w.capacity(), 8);
+        assert!(w.is_waiting(9) && !w.is_waiting(1));
+        // Id 2 has issued but completes only at cycle 50: the ring
+        // doubles rather than reuse its slot.
+        assert_eq!(push(&mut w, 10), 10);
+        assert_eq!(w.capacity(), 16);
+        assert_eq!(w.done_of(2), 50);
+        assert!((2..=10).all(|id| w.holds(id)));
     }
 }

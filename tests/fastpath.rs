@@ -6,9 +6,11 @@
 //! pipelines — bare and with p-threads installed — and must agree on
 //! cycle counts, retired-instruction counts, every raw access counter,
 //! every energy term E1–E8 individually, and the architectural outcome
-//! (final speculative registers and memory). The fast path's SoA window,
-//! issue calendar, and stall fast-forward are pure representation
-//! changes; any behavioral divergence trips here with the field named.
+//! (final speculative registers and memory). One more case runs a kernel
+//! at a 2000-cycle memory latency, long enough that the fast path's
+//! window ring must grow. The fast path's SoA window ring, issue
+//! calendar, and stall fast-forward are pure representation changes; any
+//! behavioral divergence trips here with the field named.
 #![cfg(feature = "reference-pipeline")]
 
 use preexec::energy::EnergyConfig;
@@ -100,13 +102,14 @@ fn assert_reports_match(fast: &SimReport, slow: &SimReport, label: &str) {
 }
 
 /// Runs `program` (with `pthreads` installed) through both pipelines and
-/// checks reports and architectural state agree exactly.
+/// checks reports and architectural state agree exactly. Returns the fast
+/// pipeline's final window ring size.
 fn check_program(
     program: &preexec::isa::Program,
     pthreads: &[PThread],
     cfg: SimConfig,
     label: &str,
-) {
+) -> usize {
     let mut fast = Simulator::new(program, cfg).with_pthreads(pthreads);
     let fast_report = fast.run();
     let mut slow = ReferenceSimulator::new(program, cfg).with_pthreads(pthreads);
@@ -118,6 +121,7 @@ fn check_program(
         "{label}: final registers"
     );
     assert_eq!(fast.spec_mem(), slow.spec_mem(), "{label}: final memory");
+    fast.window_slots()
 }
 
 /// One kernel through both pipelines, bare and with a deterministic
@@ -168,4 +172,23 @@ fn fuzzed_programs_match_reference() {
         check_program(&program, &[], cfg, &format!("{label}/bare"));
         check_program(&program, &pthreads, cfg, &format!("{label}/pthreads"));
     });
+}
+
+/// Ring growth under the differential wall: at a 2000-cycle memory
+/// latency, long-lived p-thread loads pin the window's dead horizon while
+/// the main thread keeps dispatching, so the fast pipeline's window ring
+/// must double (several times, with waiter chains and calendar entries
+/// in flight) and still match the reference exactly.
+#[test]
+fn ring_growth_under_long_memory_latency_matches_reference() {
+    let cfg = SimConfig::default().with_mem_latency(2000);
+    let program = workloads::build("vpr.route", InputSet::Train).expect("known kernel");
+    let mut g = Gen::new(0x5eed_fa57_0000 ^ 15, 0);
+    let pthreads = fuzz::gen_pthreads(&mut g, &program);
+    let initial = Simulator::new(&program, cfg).window_slots();
+    let grown = check_program(&program, &pthreads, cfg, "vpr.route/pthreads/mem2000");
+    assert!(
+        grown > initial,
+        "the window ring never grew past its initial {initial} slots"
+    );
 }
