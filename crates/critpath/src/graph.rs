@@ -141,13 +141,24 @@ pub struct PathResult {
 /// Evaluates the longest path for `trace` with per-instruction `inputs`.
 ///
 /// `inputs[i]` must correspond to `trace.event(i)`. Runs in O(n) time and
-/// O(n) space.
+/// O(n) space: per event, one execute time and three backtrack links;
+/// fetch and commit times are kept only as far back as they are read.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len() != trace.len()`.
 pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -> PathResult {
     assert_eq!(inputs.len(), trace.len(), "one input per trace event");
+    longest_path_by(trace, |i| inputs[i], cfg)
+}
+
+/// [`longest_path`] with event `i`'s input computed by `input(i)`, called
+/// once per event in trace order, so no input slice is materialized.
+pub(crate) fn longest_path_by(
+    trace: &Trace,
+    mut input: impl FnMut(usize) -> NodeInput,
+    cfg: &CritPathConfig,
+) -> PathResult {
     let n = trace.len();
     if n == 0 {
         return PathResult {
@@ -155,20 +166,24 @@ pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -
             breakdown: Breakdown::default(),
         };
     }
-    let mut tf = vec![0u64; n]; // fetch times
-    let mut te = vec![0u64; n]; // execute-complete times
-    let mut tc = vec![0u64; n]; // commit times
-    let mut pf = vec![START; n];
-    let mut pe = vec![START; n];
-    let mut pc = vec![START; n];
-
     let fw = cfg.fetch_width as usize;
     let cw = cfg.commit_width as usize;
     let rob = cfg.rob_size as usize;
 
+    let mut te = vec![0u64; n]; // execute-complete times
+    let mut pf = vec![START; n];
+    let mut pe = vec![START; n];
+    let mut pc = vec![START; n];
+    let mut tf_prev = 0u64; // fetch time of event i - 1
+    let mut tc_prev = 0u64; // commit time of event i - 1
+                            // Commit times of the last `rob` events: slot `i % rob` holds event
+                            // `i - rob`'s until event `i` overwrites it.
+    let mut tc_ring = vec![0u64; rob.max(1)];
+
+    let mut prev_mispredicted = false;
     for i in 0..n {
         let e = trace.event(i as Seq);
-        let inp = &inputs[i];
+        let inp = input(i);
 
         // --- F node ---
         let mut best_t = 0u64;
@@ -180,7 +195,7 @@ pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -
             consider(
                 &mut best_t,
                 &mut best_p,
-                tf[i - 1],
+                tf_prev,
                 Node::F,
                 (i - 1) as Seq,
                 Category::Fetch,
@@ -188,7 +203,7 @@ pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -
             );
             // Branch misprediction: fetch of the next instruction waits for
             // the branch to execute plus the refill penalty.
-            if inputs[i - 1].mispredicted {
+            if prev_mispredicted {
                 consider(
                     &mut best_t,
                     &mut best_p,
@@ -203,23 +218,26 @@ pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -
         if i >= rob {
             // Finite window: the ROB slot is recycled at the commit of the
             // instruction `rob` positions earlier.
+            // With no ROB at all this is the event's own, still-unset
+            // commit time.
+            let tc_old = if rob == 0 { 0 } else { tc_ring[i % rob] };
             consider(
                 &mut best_t,
                 &mut best_p,
-                tc[i - rob],
+                tc_old,
                 Node::C,
                 (i - rob) as Seq,
                 Category::Fetch,
                 1,
             );
         }
-        tf[i] = best_t;
+        let tf_i = best_t;
         pf[i] = best_p;
 
         // --- E node (execution completes) ---
         // Dispatch from fetch through the front end, then execute.
         let own_cat = exec_category(e.inst.class(), inp.served);
-        let mut best_t = tf[i] + cfg.frontend_depth + inp.latency;
+        let mut best_t = tf_i + cfg.frontend_depth + inp.latency;
         let mut best_p = Pred {
             node: Node::F,
             seq: i as Seq,
@@ -257,15 +275,18 @@ pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -
             consider(
                 &mut best_t,
                 &mut best_p,
-                tc[i - 1],
+                tc_prev,
                 Node::C,
                 (i - 1) as Seq,
                 Category::Commit,
                 w,
             );
         }
-        tc[i] = best_t;
+        tc_ring[i % rob.max(1)] = best_t;
         pc[i] = best_p;
+        tf_prev = tf_i;
+        tc_prev = best_t;
+        prev_mispredicted = inp.mispredicted;
     }
 
     // Backtrack from the last commit, attributing edge weights.
@@ -286,7 +307,7 @@ pub fn longest_path(trace: &Trace, inputs: &[NodeInput], cfg: &CritPathConfig) -
         seq = p.seq;
     }
     PathResult {
-        cycles: tc[n - 1],
+        cycles: tc_prev,
         breakdown,
     }
 }

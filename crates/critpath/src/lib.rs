@@ -29,7 +29,7 @@ mod model;
 pub use branches::{problem_branches, BranchStats, ProblemBranch};
 pub use cost::LoadCost;
 pub use graph::{longest_path, Breakdown, Category, NodeInput, PathResult};
-pub use model::{CritPathModel, InteractionModel};
+pub use model::{CritPathModel, CritPathSkeleton, InteractionModel};
 
 /// Machine parameters of the critical-path model, defaulting to the
 /// paper's configuration: 6-wide fetch and commit, 128-entry ROB, a

@@ -1,30 +1,22 @@
 //! The critical-path model over a concrete trace: baseline execution-time
 //! estimate, Figure 2 breakdown, and the criticality-based load cost
 //! functions that PTHSEL+E consumes.
+//!
+//! A model is built in two halves. The [`CritPathSkeleton`] holds what
+//! no latency touches: the branch-predictor replay that places the
+//! misprediction edges, each event's serving level, and the flattened
+//! dependence and PC arrays. [`CritPathSkeleton::model`] finishes it for
+//! one hierarchy and machine: per-event latencies, the baseline longest
+//! path, and the load-cost sampling. One skeleton therefore serves every
+//! memory latency of one cache geometry.
 
-use crate::graph::{longest_path, Breakdown, NodeInput, PathResult};
+use crate::graph::{longest_path_by, Breakdown, NodeInput, PathResult};
 use crate::{CritPathConfig, LoadCost};
 use preexec_bpred::{HybridPredictor, PredictorConfig};
 use preexec_isa::{InstClass, Pc};
-use preexec_mem::Level;
-use preexec_trace::{MemAnnotation, Trace};
-
-/// Flattened per-event inputs for the batched cycles-only evaluator: one
-/// cache-friendly record per dynamic instruction instead of re-deriving
-/// them from `Trace` events on every hypothetical evaluation.
-#[derive(Clone, Debug, Default)]
-struct Compact {
-    /// Up to two register producers plus one store→load producer, as
-    /// indices into the trace; `u32::MAX` marks an absent slot.
-    deps: Vec<[u32; 3]>,
-    /// Baseline execute latency (already memory-annotated).
-    base_lat: Vec<u32>,
-    /// Static PC, for matching the targeted problem load.
-    pc: Vec<Pc>,
-    /// Bit 0: load served from memory (an L2 miss). Bit 1: mispredicted
-    /// conditional branch.
-    flags: Vec<u8>,
-}
+use preexec_mem::{HierarchyConfig, Level};
+use preexec_trace::{MemAnnotation, Seq, Trace};
+use std::borrow::Cow;
 
 const FLAG_MEM_LOAD: u8 = 1;
 const FLAG_MISPREDICTED: u8 = 2;
@@ -39,12 +31,123 @@ struct Scratch {
     te9: Vec<[u32; 9]>,
 }
 
+/// The latency-free half of a [`CritPathModel`]: one cache-friendly
+/// record per dynamic instruction, derived from the trace and the
+/// annotation's serving levels only (never from its latencies).
+///
+/// # Examples
+///
+/// ```
+/// use preexec_critpath::{CritPathConfig, CritPathSkeleton};
+/// use preexec_isa::{ProgramBuilder, Reg};
+/// use preexec_mem::HierarchyConfig;
+/// use preexec_trace::{FuncSim, MemAnnotation};
+///
+/// let mut b = ProgramBuilder::new("p");
+/// b.li(Reg::new(1), 1).addi(Reg::new(1), Reg::new(1), 2).halt();
+/// let prog = b.build();
+/// let trace = FuncSim::new(&prog).run_trace(100);
+/// let ann = MemAnnotation::compute(&trace, HierarchyConfig::default());
+/// let skeleton = CritPathSkeleton::new(&trace, &ann);
+/// for mem_latency in [100, 300] {
+///     let hier = HierarchyConfig::default().with_mem_latency(mem_latency);
+///     let model = skeleton.model(&hier, CritPathConfig::default());
+///     assert!(model.execution_time() > 0);
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct CritPathSkeleton<'t> {
+    trace: &'t Trace,
+    /// Serving level of each event (`None` for non-memory instructions).
+    served: Vec<Option<Level>>,
+    /// Up to two register producers plus one store→load producer, as
+    /// indices into the trace; `u32::MAX` marks an absent slot.
+    deps: Vec<[u32; 3]>,
+    /// Static PC, for matching the targeted problem load.
+    pc: Vec<Pc>,
+    /// Bit 0: load served from memory (an L2 miss). Bit 1: mispredicted
+    /// conditional branch.
+    flags: Vec<u8>,
+}
+
+impl<'t> CritPathSkeleton<'t> {
+    /// Replays `trace` through the shared branch predictor and records
+    /// the serving levels from `ann`.
+    pub fn new(trace: &'t Trace, ann: &MemAnnotation) -> CritPathSkeleton<'t> {
+        let mut bpred = HybridPredictor::new(PredictorConfig::default());
+        let n = trace.len();
+        let mut skeleton = CritPathSkeleton {
+            trace,
+            served: Vec::with_capacity(n),
+            deps: Vec::with_capacity(n),
+            pc: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
+        };
+        for e in trace {
+            let mispredicted = match e.taken {
+                Some(taken) => !bpred.update(e.pc, taken),
+                None => false,
+            };
+            let served = ann.served(e.seq);
+            let mut deps = [u32::MAX; 3];
+            for (k, d) in e
+                .src_deps
+                .iter()
+                .flatten()
+                .chain(e.mem_dep.iter())
+                .enumerate()
+            {
+                deps[k] = *d as u32;
+            }
+            let mut f = 0u8;
+            if e.inst.is_load() && served == Some(Level::Mem) {
+                f |= FLAG_MEM_LOAD;
+            }
+            if mispredicted {
+                f |= FLAG_MISPREDICTED;
+            }
+            skeleton.served.push(served);
+            skeleton.deps.push(deps);
+            skeleton.pc.push(e.pc);
+            skeleton.flags.push(f);
+        }
+        skeleton
+    }
+
+    /// Finishes the model for memory latencies from `hier` and the
+    /// machine `cfg`, borrowing this skeleton.
+    pub fn model(&self, hier: &HierarchyConfig, cfg: CritPathConfig) -> CritPathModel<'_> {
+        CritPathModel::finish(Cow::Borrowed(self), hier, cfg)
+    }
+
+    /// Event `i`'s unreduced graph input: its execute latency under
+    /// `hier` (loads) or `mul_latency` (multiplies), its serving level
+    /// and its misprediction flag.
+    fn input(&self, i: usize, hier: &HierarchyConfig, mul_latency: u64) -> NodeInput {
+        let served = self.served[i];
+        let latency = match self.trace.event(i as Seq).inst.class() {
+            InstClass::Load => served.map_or(0, |level| hier.load_latency(level)),
+            InstClass::Store => 1, // retire-time write, off the path
+            InstClass::IntMul => mul_latency,
+            InstClass::Branch | InstClass::Jump | InstClass::IntAlu => 1,
+            InstClass::Other => 1,
+        };
+        NodeInput {
+            latency,
+            served,
+            mispredicted: self.flags[i] & FLAG_MISPREDICTED != 0,
+        }
+    }
+}
+
 /// A dependence-graph critical-path model bound to one trace.
 ///
 /// Construction replays the trace through the shared branch predictor (to
 /// place misprediction edges) and snapshots per-instruction latencies from
 /// the memory annotation. Evaluations with hypothetically reduced load
-/// latencies then share that base state.
+/// latencies then share that base state. Graph inputs are derived per
+/// event on demand rather than stored, which keeps a model's footprint
+/// to its skeleton plus four bytes per event.
 ///
 /// # Examples
 ///
@@ -64,10 +167,12 @@ struct Scratch {
 /// ```
 #[derive(Debug)]
 pub struct CritPathModel<'t> {
-    trace: &'t Trace,
+    skeleton: Cow<'t, CritPathSkeleton<'t>>,
     cfg: CritPathConfig,
-    base: Vec<NodeInput>,
-    compact: Compact,
+    hier: HierarchyConfig,
+    /// Baseline execute latency per event, packed for the batched
+    /// cycles-only evaluator.
+    base_lat: Vec<u32>,
     l2_hit_latency: u64,
     mem_miss_latency: u64,
     baseline: PathResult,
@@ -77,10 +182,10 @@ pub struct CritPathModel<'t> {
 impl Clone for CritPathModel<'_> {
     fn clone(&self) -> Self {
         CritPathModel {
-            trace: self.trace,
+            skeleton: self.skeleton.clone(),
             cfg: self.cfg,
-            base: self.base.clone(),
-            compact: self.compact.clone(),
+            hier: self.hier,
+            base_lat: self.base_lat.clone(),
             l2_hit_latency: self.l2_hit_latency,
             mem_miss_latency: self.mem_miss_latency,
             baseline: self.baseline.clone(),
@@ -90,64 +195,40 @@ impl Clone for CritPathModel<'_> {
 }
 
 impl<'t> CritPathModel<'t> {
-    /// Builds the model for `trace` with memory levels from `ann`.
+    /// Builds the model for `trace` with memory levels and latencies from
+    /// `ann`: a [`CritPathSkeleton`] finished at `ann`'s hierarchy.
     pub fn new(trace: &'t Trace, ann: &MemAnnotation, cfg: CritPathConfig) -> CritPathModel<'t> {
-        let mut bpred = HybridPredictor::new(PredictorConfig::default());
-        let hier = ann.config();
+        CritPathModel::finish(
+            Cow::Owned(CritPathSkeleton::new(trace, ann)),
+            ann.config(),
+            cfg,
+        )
+    }
+
+    /// The latency-dependent half: per-event execute latencies under
+    /// `hier` and `cfg`, then the baseline longest path.
+    fn finish(
+        skeleton: Cow<'t, CritPathSkeleton<'t>>,
+        hier: &HierarchyConfig,
+        cfg: CritPathConfig,
+    ) -> CritPathModel<'t> {
         let l2_hit_latency = hier.l1d.latency + hier.l2.latency;
         let mem_miss_latency = l2_hit_latency + hier.mem_latency;
-        let base: Vec<NodeInput> = trace
-            .iter()
-            .map(|e| {
-                let mispredicted = match e.taken {
-                    Some(taken) => !bpred.update(e.pc, taken),
-                    None => false,
-                };
-                let served = ann.served(e.seq);
-                let latency = match e.inst.class() {
-                    InstClass::Load => ann.latency(e.seq),
-                    InstClass::Store => 1, // retire-time write, off the path
-                    InstClass::IntMul => cfg.mul_latency,
-                    InstClass::Branch | InstClass::Jump | InstClass::IntAlu => 1,
-                    InstClass::Other => 1,
-                };
-                NodeInput {
-                    latency,
-                    served,
-                    mispredicted,
-                }
-            })
-            .collect();
-        let baseline = longest_path(trace, &base, &cfg);
-        let mut compact = Compact::default();
-        for (i, e) in trace.iter().enumerate() {
-            let mut deps = [u32::MAX; 3];
-            for (k, d) in e
-                .src_deps
-                .iter()
-                .flatten()
-                .chain(e.mem_dep.iter())
-                .enumerate()
-            {
-                deps[k] = *d as u32;
-            }
-            compact.deps.push(deps);
-            compact.base_lat.push(base[i].latency as u32);
-            compact.pc.push(e.pc);
-            let mut f = 0u8;
-            if e.inst.is_load() && base[i].served == Some(Level::Mem) {
-                f |= FLAG_MEM_LOAD;
-            }
-            if base[i].mispredicted {
-                f |= FLAG_MISPREDICTED;
-            }
-            compact.flags.push(f);
-        }
+        let mut base_lat = Vec::with_capacity(skeleton.served.len());
+        let baseline = longest_path_by(
+            skeleton.trace,
+            |i| {
+                let input = skeleton.input(i, hier, cfg.mul_latency);
+                base_lat.push(input.latency as u32);
+                input
+            },
+            &cfg,
+        );
         CritPathModel {
-            trace,
+            skeleton,
             cfg,
-            base,
-            compact,
+            hier: *hier,
+            base_lat,
             l2_hit_latency,
             mem_miss_latency,
             baseline,
@@ -175,8 +256,8 @@ impl<'t> CritPathModel<'t> {
         target_lat: [u32; L],
         others_resolved: [bool; L],
     ) -> [u64; L] {
-        let c = &self.compact;
-        let n = c.base_lat.len();
+        let c = &*self.skeleton;
+        let n = self.base_lat.len();
         if n == 0 {
             return [0; L];
         }
@@ -221,14 +302,14 @@ impl<'t> CritPathModel<'t> {
             let lat: [u32; L] = if f & FLAG_MEM_LOAD != 0 && c.pc[i] == target {
                 target_lat
             } else if f & FLAG_MEM_LOAD != 0 {
-                let b = c.base_lat[i];
+                let b = self.base_lat[i];
                 let mut a = [0u32; L];
                 for l in 0..L {
                     a[l] = if others_resolved[l] { l2 } else { b };
                 }
                 a
             } else {
-                [c.base_lat[i]; L]
+                [self.base_lat[i]; L]
             };
             // --- E node ---
             let mut t = [0u32; L];
@@ -298,7 +379,7 @@ impl<'t> CritPathModel<'t> {
         if self.baseline.cycles == 0 {
             0.0
         } else {
-            self.trace.len() as f64 / self.baseline.cycles as f64
+            self.skeleton.trace.len() as f64 / self.baseline.cycles as f64
         }
     }
 
@@ -318,21 +399,23 @@ impl<'t> CritPathModel<'t> {
     /// and, when `others_resolved`, every other L2 miss is fully resolved
     /// to an L2 hit (the optimistic interaction-cost variant).
     pub fn time_with_reduction(&self, pc: Pc, fraction: f64, others_resolved: bool) -> u64 {
-        let mut inputs = self.base.clone();
-        for (i, e) in self.trace.iter().enumerate() {
-            if !e.inst.is_load() || inputs[i].served != Some(Level::Mem) {
-                continue;
+        let s = &*self.skeleton;
+        let input = |i: usize| {
+            let mut input = s.input(i, &self.hier, self.cfg.mul_latency);
+            if s.flags[i] & FLAG_MEM_LOAD == 0 {
+                return input;
             }
-            if e.pc == pc {
+            if s.pc[i] == pc {
                 let tol = (self.mem_miss_latency - self.l2_hit_latency) as f64;
                 let reduced = self.mem_miss_latency as f64 - fraction * tol;
-                inputs[i].latency = reduced.round() as u64;
+                input.latency = reduced.round() as u64;
             } else if others_resolved {
-                inputs[i].latency = self.l2_hit_latency;
-                inputs[i].served = Some(Level::L2);
+                input.latency = self.l2_hit_latency;
+                input.served = Some(Level::L2);
             }
-        }
-        longest_path(self.trace, &inputs, &self.cfg).cycles
+            input
+        };
+        longest_path_by(s.trace, input, &self.cfg).cycles
     }
 
     /// Computes the criticality-based load cost function for the problem
@@ -351,13 +434,9 @@ impl<'t> CritPathModel<'t> {
     /// non-critical) and pure optimism over-selects (like classic PTHSEL);
     /// averaging the two is its chosen compromise.
     pub fn load_cost_with(&self, pc: Pc, interaction: InteractionModel) -> LoadCost {
-        let misses = self
-            .trace
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| {
-                e.pc == pc && e.inst.is_load() && self.base[*i].served == Some(Level::Mem)
-            })
+        let s = &*self.skeleton;
+        let misses = (0..s.pc.len())
+            .filter(|&i| s.pc[i] == pc && s.flags[i] & FLAG_MEM_LOAD != 0)
             .count() as u64;
         let tol_max = self.tolerable_cycles() as f64;
         if misses == 0 {
@@ -628,6 +707,34 @@ mod tests {
             assert_eq!(opt[k + 1], m.time_with_reduction(pc, frac, true));
         }
         assert_eq!(opt[0], m.time_with_reduction(pc, 0.0, true));
+    }
+
+    /// One skeleton finished at each memory latency must equal a model
+    /// built from scratch on an annotation computed at that latency.
+    #[test]
+    fn a_shared_skeleton_matches_a_model_per_latency() {
+        let (p, t) = model_for("gap");
+        let ann = MemAnnotation::compute(&t, HierarchyConfig::default());
+        let prof = preexec_trace::Profile::compute(&p, &t, &ann);
+        let pcs: Vec<Pc> = prof
+            .problem_loads(&p, 100)
+            .iter()
+            .take(3)
+            .map(|pl| pl.pc)
+            .collect();
+        let skeleton = CritPathSkeleton::new(&t, &ann);
+        for mem_latency in [100, 300] {
+            let hier = HierarchyConfig::default().with_mem_latency(mem_latency);
+            let own_ann = MemAnnotation::compute(&t, hier);
+            let own = CritPathModel::new(&t, &own_ann, CritPathConfig::default());
+            let shared = skeleton.model(&hier, CritPathConfig::default());
+            assert_eq!(shared.execution_time(), own.execution_time());
+            assert_eq!(shared.breakdown(), own.breakdown());
+            assert_eq!(shared.ipc().to_bits(), own.ipc().to_bits());
+            for &pc in &pcs {
+                assert_eq!(shared.load_cost(pc), own.load_cost(pc), "pc {pc}");
+            }
+        }
     }
 
     #[test]

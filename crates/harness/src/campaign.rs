@@ -516,9 +516,20 @@ pub fn evaluate_cells(
         }
     }
 
-    let computed = engine.par_map(groups, |(_, members)| {
-        let cfg = members[0].1.config(base);
-        let prep = engine.prepared(&members[0].1.bench, &cfg);
+    // Prepare first, one batch per bench (its memory latencies share one
+    // profiling trace), then evaluate the groups on the pool.
+    let cells: Vec<(&str, ExpConfig)> = groups
+        .iter()
+        .map(|(_, members)| (members[0].1.bench.as_str(), members[0].1.config(base)))
+        .collect();
+    let preps = engine.prepared_cells(&cells);
+    let jobs: Vec<_> = groups
+        .into_iter()
+        .map(|(_, members)| members)
+        .zip(preps)
+        .collect();
+    let computed = engine.par_map(jobs, |(members, prep)| {
+        let cfg = prep.cfg;
         let targets: Vec<SelectionTarget> = members
             .iter()
             .map(|(_, c)| SelectionTarget::Weighted(c.w))

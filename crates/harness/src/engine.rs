@@ -1,6 +1,6 @@
 //! The experiment engine: a work pool that fans (workload × config ×
-//! target) cells across cores, a three-layer memo cache, and the
-//! [`Metrics`] observability layer.
+//! target) cells across cores, a three-layer memo cache, the batched
+//! prepare, and the [`Metrics`] observability layer.
 //!
 //! The cache layers, outermost first:
 //!
@@ -8,10 +8,21 @@
 //!    selection-weight sweeps reuse the full
 //!    trace/profile/slice/critpath/baseline pipeline.
 //! 2. **Bases** ([`PreparedBase::base_key`]) — slice-knob sweeps rebuild
-//!    only the trees, sharing the critical-path model and baseline run.
+//!    only the trees, sharing the critical-path costs and baseline run.
 //! 3. **Simulations** (structural key × selection signature) — any two
 //!    cells that select the same p-threads on the same machine share one
 //!    deterministic timing run.
+//!
+//! **Batched prepare.** [`Engine::prepared_many`] prepares one bench
+//! under many configs. Configs with one
+//! [`PreparedCore::latency_free_key`] (typically a memory-latency sweep)
+//! share one profiling trace, profile, set of slice trees and
+//! critical-path skeleton; only the latency-dependent critical-path pass
+//! and the baseline run are per config. The results are filed under the
+//! same core and base keys, with the same hit/miss counters and store
+//! traffic, as a loop of [`Engine::prepared`] (itself a batch of one).
+//! Nothing trace-sized outlives the batch: the trace is dropped before
+//! the baselines run.
 //!
 //! Results are bit-identical to the serial path: every cell is computed
 //! independently from the same deterministic inputs and collected in
@@ -20,14 +31,16 @@
 
 use crate::experiments::BenchEval;
 use crate::metrics::{Metrics, Stage};
-use crate::setup::{ExpConfig, Prepared, PreparedBase, PreparedCore, TargetResult};
+use crate::setup::{
+    simulate_baseline, ExpConfig, Prepared, PreparedBase, PreparedCore, Profiled, TargetResult,
+};
 use preexec_campaign::Store;
 use preexec_json::ToJson;
 use preexec_sim::SimReport;
 use pthsel::SelectionTarget;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "REPRO_THREADS";
@@ -45,21 +58,84 @@ impl<T> Default for Slot<T> {
 
 type SlotMap<T> = Mutex<HashMap<String, Arc<Slot<T>>>>;
 
+/// Locks `slot`, recovering it from a build that panicked: that build
+/// never filled the slot, so the recovered guard reads empty and the next
+/// caller rebuilds instead of failing on the poisoned lock forever.
+fn lock_slot<T>(slot: &Slot<T>) -> MutexGuard<'_, Option<Arc<T>>> {
+    slot.0.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Looks up `key`, building with `build` on a miss. Returns the shared
 /// value and whether this call was a hit.
 fn memo<T>(map: &SlotMap<T>, key: String, build: impl FnOnce() -> T) -> (Arc<T>, bool) {
-    let slot = {
+    memo_many(map, std::slice::from_ref(&key), |_| vec![build()])
+        .pop()
+        .expect("one key in, one value out")
+}
+
+/// Looks up all of `keys` at once. `build` runs at most once, for the
+/// first occurrence of every key whose slot is empty: it receives those
+/// positions in `keys` (ascending) and returns their values in the same
+/// order. Returns each key's shared value and whether it was a hit; a
+/// repeated key hits on the value its first occurrence built.
+///
+/// The slots are locked in key order and held across `build`, so callers
+/// with overlapping key sets wait for one build instead of duplicating it,
+/// and two such batches can never deadlock.
+fn memo_many<T>(
+    map: &SlotMap<T>,
+    keys: &[String],
+    build: impl FnOnce(&[usize]) -> Vec<T>,
+) -> Vec<(Arc<T>, bool)> {
+    let mut order: Vec<&String> = keys.iter().collect();
+    order.sort();
+    order.dedup();
+    let slots: Vec<Arc<Slot<T>>> = {
         let mut map = map.lock().unwrap();
-        map.entry(key).or_default().clone()
+        order
+            .iter()
+            .map(|&k| map.entry(k.clone()).or_default().clone())
+            .collect()
     };
-    let mut guard = slot.0.lock().unwrap();
-    if let Some(value) = guard.as_ref() {
-        (value.clone(), true)
-    } else {
-        let value = Arc::new(build());
-        *guard = Some(value.clone());
-        (value, false)
+    let mut guards: Vec<_> = slots.iter().map(|s| lock_slot(s)).collect();
+    let slot_of: Vec<usize> = keys
+        .iter()
+        .map(|k| order.binary_search(&k).expect("every key has a slot"))
+        .collect();
+    let mut claimed = vec![false; order.len()];
+    let mut missing = Vec::new();
+    for (i, &s) in slot_of.iter().enumerate() {
+        if guards[s].is_none() && !claimed[s] {
+            claimed[s] = true;
+            missing.push(i);
+        }
     }
+    if !missing.is_empty() {
+        let values = build(&missing);
+        assert_eq!(values.len(), missing.len(), "one value per missing key");
+        for (&i, value) in missing.iter().zip(values) {
+            *guards[slot_of[i]] = Some(Arc::new(value));
+        }
+    }
+    (0..keys.len())
+        .map(|i| {
+            let value = guards[slot_of[i]].clone().expect("filled above");
+            (value, missing.binary_search(&i).is_err())
+        })
+        .collect()
+}
+
+/// The positions of `keys` grouped by equal key, groups in order of
+/// first appearance.
+fn positions_by_key<K: PartialEq>(keys: impl IntoIterator<Item = K>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
+    for (i, key) in keys.into_iter().enumerate() {
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    groups.into_iter().map(|(_, members)| members).collect()
 }
 
 /// Where engine progress lines go: any thread-safe callback (stderr for
@@ -173,28 +249,118 @@ impl Engine {
         }
     }
 
-    /// The memoized [`Prepared`] for `(name, cfg)`. The first caller of a
-    /// structural key builds the core (other callers of the same key block
-    /// on it; different keys proceed in parallel); later callers get a
-    /// cache hit and only recompute the cheap energy-dependent finish.
+    /// The memoized [`Prepared`] for `(name, cfg)`: a batch of one
+    /// ([`Engine::prepared_many`]). The first caller of a structural key
+    /// builds the core (other callers of the same key block on it;
+    /// different keys proceed in parallel); later callers get a cache hit
+    /// and only recompute the cheap energy-dependent finish.
     pub fn prepared(&self, name: &str, cfg: &ExpConfig) -> Prepared {
+        self.prepared_many(name, std::slice::from_ref(cfg))
+            .pop()
+            .expect("one config in, one prepared out")
+    }
+
+    /// The memoized [`Prepared`] for `name` under each of `cfgs`, in
+    /// order: the prepare-side twin of [`Engine::evaluate_many`]. Missing
+    /// cores that share a [`PreparedCore::latency_free_key`] are built
+    /// from one profiling trace (see the module docs). Memo keys, hit and
+    /// miss counters and store traffic are those of a loop of
+    /// [`Engine::prepared`].
+    pub fn prepared_many(&self, name: &str, cfgs: &[ExpConfig]) -> Vec<Prepared> {
         let start = std::time::Instant::now();
-        let (core, hit) = memo(&self.cache, PreparedCore::structural_key(name, cfg), || {
-            let (base, side) = self.base(name, cfg);
-            PreparedCore::from_base_metered_with(&base, cfg, Some(&self.metrics), side)
+        let keys: Vec<String> = cfgs
+            .iter()
+            .map(|cfg| PreparedCore::structural_key(name, cfg))
+            .collect();
+        let cores = memo_many(&self.cache, &keys, |missing| {
+            let todo: Vec<ExpConfig> = missing.iter().map(|&i| cfgs[i]).collect();
+            self.build_cores(name, &todo)
         });
-        if hit {
-            self.metrics.add_cache_hit();
-        } else {
-            self.metrics.add_cache_miss();
-            self.say(|| {
-                format!(
-                    "prepared {name} in {:.2}s (cache miss)",
-                    start.elapsed().as_secs_f64()
-                )
+        cores
+            .into_iter()
+            .zip(cfgs)
+            .map(|((core, hit), cfg)| {
+                if hit {
+                    self.metrics.add_cache_hit();
+                } else {
+                    self.metrics.add_cache_miss();
+                    self.say(|| {
+                        format!(
+                            "prepared {name} in {:.2}s (cache miss)",
+                            start.elapsed().as_secs_f64()
+                        )
+                    });
+                }
+                Prepared::from_core(core, cfg)
+            })
+            .collect()
+    }
+
+    /// Builds the cores of `cfgs` (distinct structural keys): per
+    /// latency-free key, one [`Profiled`] run and one set of slice trees,
+    /// with the base layer's memo filled for every config whose base is
+    /// missing (its critical-path pass and baseline run).
+    fn build_cores(&self, name: &str, cfgs: &[ExpConfig]) -> Vec<PreparedCore> {
+        let m = &self.metrics;
+        let mut cores: Vec<Option<PreparedCore>> = vec![None; cfgs.len()];
+        let geometry_keys = cfgs
+            .iter()
+            .map(|cfg| PreparedCore::latency_free_key(name, cfg));
+        for group in positions_by_key(geometry_keys) {
+            let lead = &cfgs[group[0]];
+            let (profiled, trace) = Profiled::build(name, lead, m);
+            let keys: Vec<String> = group
+                .iter()
+                .map(|&i| PreparedBase::base_key(name, &cfgs[i]))
+                .collect();
+            // The missing bases' critical-path passes run first, then the
+            // trees, and the trace is dropped before the baselines run.
+            // (The other way round, the slicer's allocations fragment the
+            // heap under the critical-path pass: a gcc prepare's peak RSS
+            // rose by about 7 MB.)
+            let mut trace = Some(trace);
+            let mut trees = None;
+            let bases = memo_many(&self.bases, &keys, |missing| {
+                let run = trace.take().expect("one base build per batch");
+                let todo: Vec<ExpConfig> = missing.iter().map(|&k| cfgs[group[k]]).collect();
+                let critpath = profiled.critpath(&run, &todo, m);
+                trees = Some(profiled.trees(&run, &lead.slice, m));
+                drop(run);
+                todo.iter()
+                    .zip(critpath)
+                    .map(|(cfg, cp)| cp.with_baseline(self.baseline(&profiled, cfg)))
+                    .collect()
             });
+            let trees = trees.unwrap_or_else(|| {
+                let run = trace.take().expect("no base was built");
+                profiled.trees(&run, &lead.slice, m)
+            });
+            for (&i, (base, hit)) in group.iter().zip(bases) {
+                if hit {
+                    m.add_base_hit();
+                } else {
+                    m.add_base_miss();
+                }
+                cores[i] = Some(PreparedCore::assemble(&profiled, trees.clone(), &base));
+            }
         }
-        Prepared::from_core(core, cfg)
+        cores
+            .into_iter()
+            .map(|core| core.expect("every config belongs to one group"))
+            .collect()
+    }
+
+    /// The baseline run of `profiled`'s binary under `cfg`: replayed from
+    /// the store when present, else simulated and persisted. Keyed on the
+    /// batch's fingerprint, so no binary is rebuilt to name it.
+    fn baseline(&self, profiled: &Profiled, cfg: &ExpConfig) -> SimReport {
+        let key = PreparedBase::baseline_key_for(&profiled.fingerprint, cfg);
+        if let Some(stored) = self.store_load_report(&key) {
+            return stored;
+        }
+        let report = simulate_baseline(&profiled.program, cfg, &self.metrics);
+        self.store_save_report(&key, &report);
+        report
     }
 
     /// Probes the persistent store for a simulation report. Counts a
@@ -220,40 +386,6 @@ impl Engine {
         if let Some(store) = &self.store {
             store.save(key, &report.to_json());
         }
-    }
-
-    /// The memoized slice-independent base artifacts for `(name, cfg)`.
-    /// On a fresh build the profiling trace and annotation ride along so
-    /// the caller's slicing stage can skip its trace replay; a cache- or
-    /// store-served base returns `None` (the artifacts are deliberately
-    /// not cached — they would dominate cache memory).
-    fn base(
-        &self,
-        name: &str,
-        cfg: &ExpConfig,
-    ) -> (
-        Arc<PreparedBase>,
-        Option<(preexec_trace::Trace, preexec_trace::MemAnnotation)>,
-    ) {
-        let mut side = None;
-        let (base, hit) = memo(&self.bases, PreparedBase::base_key(name, cfg), || {
-            let baseline_key = PreparedBase::baseline_key(name, cfg);
-            let stored = self.store_load_report(&baseline_key);
-            let fresh = stored.is_none();
-            let (base, trace, ann) =
-                PreparedBase::build_metered_full(name, cfg, Some(&self.metrics), stored);
-            if fresh {
-                self.store_save_report(&baseline_key, &base.baseline);
-            }
-            side = Some((trace, ann));
-            base
-        });
-        if hit {
-            self.metrics.add_base_hit();
-        } else {
-            self.metrics.add_base_miss();
-        }
-        (base, side)
     }
 
     /// Selects for `target` and simulates, with both stages metered. The
@@ -398,39 +530,48 @@ impl Engine {
         self.eval_grid(&cells, targets)
     }
 
+    /// Prepares every `(bench, config)` cell, in order: one
+    /// [`Engine::prepared_many`] batch per distinct bench, the batches
+    /// spread over the work pool.
+    pub fn prepared_cells(&self, cells: &[(&str, ExpConfig)]) -> Vec<Prepared> {
+        let benches = positions_by_key(cells.iter().map(|&(name, _)| name));
+        let batches = self.par_map(benches, |members| {
+            let cfgs: Vec<ExpConfig> = members.iter().map(|&i| cells[i].1).collect();
+            let preps = self.prepared_many(cells[members[0]].0, &cfgs);
+            members.into_iter().zip(preps)
+        });
+        let mut out: Vec<Option<Prepared>> = vec![None; cells.len()];
+        for (i, prep) in batches.into_iter().flatten() {
+            out[i] = Some(prep);
+        }
+        out.into_iter()
+            .map(|prep| prep.expect("every cell prepared"))
+            .collect()
+    }
+
     /// Prepares and evaluates an explicit (benchmark, config) grid — the
-    /// shape sweeps use, so every sweep point's every target is one work
-    /// item. Output order is `cells` × `targets`, independent of thread
-    /// count.
+    /// shape sweeps use. Each bench's configs are prepared in one batch
+    /// ([`Engine::prepared_cells`]); then every (cell, target) pair is one
+    /// work item. Output order is `cells` × `targets`, independent of
+    /// thread count.
     pub fn eval_grid(
         &self,
         cells: &[(&str, ExpConfig)],
         targets: &[SelectionTarget],
     ) -> Vec<BenchEval> {
-        let jobs: Vec<(&str, ExpConfig, SelectionTarget)> = cells
+        let preps = self.prepared_cells(cells);
+        let jobs: Vec<(&Prepared, SelectionTarget)> = preps
             .iter()
-            .flat_map(|&(name, cfg)| targets.iter().map(move |&t| (name, cfg, t)))
+            .flat_map(|prep| targets.iter().map(move |&t| (prep, t)))
             .collect();
-        let results = self.par_map(jobs, |(name, cfg, target)| {
-            let prep = self.prepared(name, &cfg);
-            let result = self.evaluate(&prep, target);
-            (prep, result)
-        });
-        let mut iter = results.into_iter();
-        cells
-            .iter()
-            .map(|&(name, cfg)| {
-                let mut prep = None;
-                let mut results = Vec::with_capacity(targets.len());
-                for _ in targets {
-                    let (p, r) = iter.next().expect("one result per job");
-                    prep.get_or_insert(p);
-                    results.push(r);
-                }
-                BenchEval {
-                    prep: prep.unwrap_or_else(|| self.prepared(name, &cfg)),
-                    results,
-                }
+        let mut results = self
+            .par_map(jobs, |(prep, target)| self.evaluate(prep, target))
+            .into_iter();
+        preps
+            .into_iter()
+            .map(|prep| BenchEval {
+                prep,
+                results: results.by_ref().take(targets.len()).collect(),
             })
             .collect()
     }
@@ -439,6 +580,153 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sorted entry names of the store rooted at `root`.
+    fn store_keys(root: &std::path::Path) -> Vec<String> {
+        let mut keys = Vec::new();
+        for shard in std::fs::read_dir(root.join("entries")).unwrap() {
+            for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                keys.push(f.unwrap().file_name().into_string().unwrap());
+            }
+        }
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_its_slot_empty() {
+        let e = Engine::new(1);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.cached::<u32>("test:poison".to_string(), || panic!("build failed"))
+        }));
+        assert!(failed.is_err(), "the failing build panics its caller");
+        let value = e.cached("test:poison".to_string(), || 7u32);
+        assert_eq!(*value, 7, "the next caller rebuilds the key");
+        assert_eq!((e.metrics().aux_misses(), e.metrics().aux_hits()), (1, 0));
+        assert_eq!(*e.cached("test:poison".to_string(), || 99u32), 7);
+        assert_eq!(e.metrics().aux_hits(), 1, "the rebuilt value is memoized");
+    }
+
+    #[test]
+    fn memo_many_builds_each_missing_key_once_in_first_appearance_order() {
+        let map: SlotMap<String> = Mutex::new(HashMap::new());
+        let keys: Vec<String> = ["b", "a", "b", "c"].iter().map(|k| k.to_string()).collect();
+        memo(&map, "c".to_string(), || "old c".to_string());
+        let got = memo_many(&map, &keys, |missing| {
+            assert_eq!(missing, [0, 1], "first occurrences of the empty slots");
+            missing
+                .iter()
+                .map(|&i| format!("new {}", keys[i]))
+                .collect()
+        });
+        let got: Vec<(String, bool)> = got
+            .into_iter()
+            .map(|(v, hit)| ((*v).clone(), hit))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("new b".to_string(), false),
+                ("new a".to_string(), false),
+                ("new b".to_string(), true),
+                ("old c".to_string(), true),
+            ]
+        );
+    }
+
+    /// One admitted generated scenario (pinned in `tests/golden.rs`).
+    const GEN_SCENARIO: &str = "gen:sl4_id1_bd0_mr0.25_mc0_fp131072_s7";
+
+    fn at_latencies(latencies: &[u64]) -> Vec<ExpConfig> {
+        latencies
+            .iter()
+            .map(|&lat| {
+                let mut cfg = ExpConfig::default();
+                cfg.sim = cfg.sim.with_mem_latency(lat);
+                cfg
+            })
+            .collect()
+    }
+
+    /// Everything a prepared bench hands to selection and evaluation,
+    /// rendered exactly (f64 `Debug` round-trips).
+    fn artifacts(p: &Prepared) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{}|{:?}|{}",
+            p.costs,
+            p.cp_breakdown,
+            p.trees,
+            p.baseline.to_json(),
+            p.app,
+            p.fingerprint
+        )
+    }
+
+    /// The batched prepare shares one profiling trace across memory
+    /// latencies, yet each result equals the engine-free build, and the
+    /// memo and store see exactly what a loop of `prepared` shows them.
+    #[test]
+    fn prepared_many_is_indistinguishable_from_a_prepared_loop() {
+        let dir = std::env::temp_dir().join(format!(
+            "preexec-engine-prepare-batch-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A duplicate and an energy-only variant exercise the core memo's
+        // hits inside one batch.
+        let mut cfgs = at_latencies(&[100, 200, 300, 200]);
+        cfgs[3].energy = cfgs[3].energy.with_idle_factor(0.10);
+        for name in ["gap", "mcf", GEN_SCENARIO] {
+            let observe = |sub: &str, prepare: &dyn Fn(&Engine) -> Vec<Prepared>| {
+                let root = dir.join(format!("{}-{sub}", name.replace(':', "_")));
+                let e = Engine::new(1).with_store(Arc::new(Store::open(&root).unwrap()));
+                let preps = prepare(&e);
+                let m = e.metrics();
+                let counters = (
+                    m.cache_hits(),
+                    m.cache_misses(),
+                    m.base_hits(),
+                    m.base_misses(),
+                    m.store_hits(),
+                    m.store_misses(),
+                    m.stage_calls(Stage::BaselineSim),
+                );
+                (
+                    preps,
+                    store_keys(&root),
+                    counters,
+                    m.stage_calls(Stage::Trace),
+                )
+            };
+            let batched = observe("batched", &|e| e.prepared_many(name, &cfgs));
+            let looped = observe("looped", &|e| {
+                cfgs.iter().map(|cfg| e.prepared(name, cfg)).collect()
+            });
+            assert_eq!(batched.1, looped.1, "{name}: persisted store keys");
+            assert_eq!(
+                batched.2, looped.2,
+                "{name}: memo and store counters (core hits/misses, base \
+                 hits/misses, store hits/misses, baseline runs)"
+            );
+            assert_eq!(batched.2 .0, 1, "{name}: the repeated core hits");
+            assert_eq!(batched.3, 1, "{name}: one profiling trace per batch");
+            assert_eq!(looped.3, 3, "{name}: one profiling trace per latency");
+            for ((b, l), cfg) in batched.0.iter().zip(&looped.0).zip(&cfgs) {
+                let fresh = Prepared::build(name, cfg);
+                assert_eq!(
+                    artifacts(b),
+                    artifacts(&fresh),
+                    "{name} batched vs engine-free"
+                );
+                assert_eq!(
+                    artifacts(l),
+                    artifacts(&fresh),
+                    "{name} looped vs engine-free"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn threads_from_falls_back_on_zero_and_garbage() {
@@ -595,13 +883,7 @@ mod tests {
                 .into_iter()
                 .map(|r| format!("{:?}|{:?}|{}", r.target, r.selection, r.report.to_json()))
                 .collect::<Vec<_>>();
-            let mut keys = Vec::new();
-            for shard in std::fs::read_dir(root.join("entries")).unwrap() {
-                for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
-                    keys.push(f.unwrap().file_name().into_string().unwrap());
-                }
-            }
-            keys.sort();
+            let keys = store_keys(&root);
             let m = e.metrics();
             let counters = (
                 m.sim_hits(),

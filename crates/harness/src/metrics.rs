@@ -239,6 +239,11 @@ impl Metrics {
         self.stages[stage.index()].nanos.load(Ordering::Relaxed)
     }
 
+    /// Number of recorded invocations of `stage`.
+    pub fn stage_calls(&self, stage: Stage) -> u64 {
+        self.stages[stage.index()].calls.load(Ordering::Relaxed)
+    }
+
     /// Snapshot as JSON: `{"stages":{name:{"wall_ms":..,"calls":..}},
     /// "counters":{..},"cache":{"hits":..,"misses":..}}`.
     pub fn to_json(&self) -> Json {

@@ -1,17 +1,38 @@
 //! End-to-end experiment preparation: trace → profile → slice trees →
 //! critical-path cost functions → baseline simulation, per benchmark.
 //!
-//! Preparation is split in two so the engine can memoize it: a
-//! [`PreparedCore`] holds every artifact that is *independent of the
-//! energy constants* (trace-derived profile, slice trees, cost functions,
-//! baseline timing run) and is cached under [`PreparedCore::structural_key`];
-//! [`Prepared`] wraps an `Arc<PreparedCore>` with the full config and the
-//! (cheap, energy-dependent) application parameters. Sweeps that only
-//! perturb energy constants or selection weights therefore reuse the
-//! expensive artifacts.
+//! # Which artifact depends on which inputs
+//!
+//! | Artifact | Inputs |
+//! |---|---|
+//! | profile and run binaries, run-binary fingerprint | name, `profile_input`, `run_input` |
+//! | functional profiling trace | profile binary, `trace_cap` |
+//! | annotation's serving levels | trace, cache geometry (sizes, lines, ways) |
+//! | [`Profile`], problem loads | trace, serving levels, `problem_frac`, `max_problem_loads` |
+//! | slice trees | trace, serving levels, profile, problem loads, `slice` |
+//! | critical-path skeleton (branch replay; dependence, PC and flag arrays) | trace, serving levels |
+//! | per-event latencies, `costs`, `cp_breakdown`, `cp_ipc` | skeleton, L1D/L2/memory latencies, the machine's widths, ROB, depths and multiply latency |
+//! | baseline run | run binary, the whole `SimConfig` |
+//! | application parameters ([`Prepared::app`]) | baseline run, energy constants |
+//!
+//! The first six rows are *latency-free*. The cache model orders LRU by
+//! an access tick and sets a fill's tag at once, so no serving level
+//! reads a latency, and TLB walks only shift timestamps; a property test
+//! in `preexec-prop` pins this. [`PreparedCore::latency_free_key`] names
+//! exactly those inputs. One [`Profiled`] run builds them once per key,
+//! and [`Profiled::critpath`] finishes the critical-path rows for every
+//! config that shares it (the engine's batched `prepared_many`).
+//!
+//! For memoization the result is split once more: a [`PreparedCore`]
+//! holds every artifact that is *independent of the energy constants*
+//! and is cached under [`PreparedCore::structural_key`]; [`Prepared`]
+//! wraps an `Arc<PreparedCore>` with the full config and the (cheap,
+//! energy-dependent) application parameters. Sweeps that only perturb
+//! energy constants or selection weights therefore reuse the expensive
+//! artifacts.
 
 use crate::metrics::{Metrics, Stage};
-use preexec_critpath::{Breakdown, CritPathConfig, CritPathModel, LoadCost};
+use preexec_critpath::{Breakdown, CritPathConfig, CritPathSkeleton, LoadCost};
 use preexec_energy::EnergyConfig;
 use preexec_isa::Program;
 use preexec_sim::{SimConfig, SimReport, Simulator};
@@ -149,93 +170,48 @@ impl ExpConfig {
     }
 }
 
-/// The artifacts of one benchmark's preparation that are independent of
-/// *both* the energy constants and the slicing knobs: profiling trace
-/// statistics, critical-path cost functions, and the baseline timing run.
-/// The engine caches it under [`PreparedBase::base_key`], so slice-knob
-/// sweeps (which rebuild trees) still share the expensive critical-path
-/// and baseline work.
-#[derive(Clone, Debug)]
-pub struct PreparedBase {
-    /// Benchmark name.
-    pub name: String,
+/// The latency-free half of one benchmark's preparation: its binaries,
+/// the profile mined from the profiling trace, and the problem loads.
+/// Every config with the same [`PreparedCore::latency_free_key`] shares
+/// one `Profiled`. The trace itself travels separately in a
+/// [`ProfileTrace`], so the caller can drop it before the baseline runs.
+pub(crate) struct Profiled {
+    name: String,
     /// The binary that was profiled (built for the profile input).
     profile_prog: Program,
     /// The binary that runs (built for the run input).
-    pub program: Program,
-    /// Per-PC profile mined from the profiling run.
-    pub profile: Profile,
+    pub(crate) program: Program,
+    /// Content fingerprint of `program` ([`program_fingerprint`]).
+    pub(crate) fingerprint: String,
+    profile: Profile,
     /// PCs of the problem loads, in selection order.
     problem_pcs: Vec<u32>,
-    /// Criticality-based cost functions of the problem loads.
-    pub costs: Vec<LoadCost>,
-    /// Critical-path breakdown of the unoptimized profiling run.
-    pub cp_breakdown: Breakdown,
-    /// Unoptimized timing-simulator baseline (on the run input).
-    pub baseline: SimReport,
-    /// Content fingerprint of `program` ([`program_fingerprint`]).
-    pub fingerprint: String,
-    /// Critical-path IPC estimate (fallback for unfinished baselines).
-    cp_ipc: f64,
 }
 
-impl PreparedBase {
-    /// Builds the slice-independent pipeline for `name` under `cfg`.
+/// The profiling trace and its serving levels: the memory peak of a
+/// preparation, kept only while the slice trees and the critical-path
+/// model are built.
+pub(crate) struct ProfileTrace {
+    trace: Trace,
+    ann: MemAnnotation,
+}
+
+impl Profiled {
+    /// Builds both binaries, runs the profiling trace, and mines the
+    /// problem loads, all from `cfg`'s latency-free inputs.
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a known workload.
-    pub fn build_metered(name: &str, cfg: &ExpConfig, metrics: Option<&Metrics>) -> PreparedBase {
-        PreparedBase::build_metered_with(name, cfg, metrics, None)
-    }
-
-    /// [`PreparedBase::build_metered`], reusing an already-known baseline
-    /// run (e.g. one replayed from the persistent store) instead of
-    /// simulating it. The caller must have obtained `baseline` under
-    /// [`PreparedBase::baseline_key`] for the same `(name, cfg)` — the
-    /// simulator is deterministic in those inputs, so the reused report
-    /// is bit-identical to the one this function would compute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload.
-    pub fn build_metered_with(
-        name: &str,
-        cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
-        baseline: Option<SimReport>,
-    ) -> PreparedBase {
-        PreparedBase::build_metered_full(name, cfg, metrics, baseline).0
-    }
-
-    /// [`PreparedBase::build_metered_with`], additionally handing back the
-    /// profiling trace and its memory annotation. A cold
-    /// `Engine::prepared` threads them straight into
-    /// [`PreparedCore::from_base_metered_with`], sparing the slicing stage
-    /// its (deterministic, hence bit-identical) trace replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload.
-    pub fn build_metered_full(
-        name: &str,
-        cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
-        baseline: Option<SimReport>,
-    ) -> (PreparedBase, Trace, MemAnnotation) {
-        // A no-op sink keeps the hot path free of Option checks.
-        let fallback = Metrics::new();
-        let m = metrics.unwrap_or(&fallback);
-
-        let (profile_prog, run_prog) = m.time(Stage::WorkloadBuild, || {
+    pub(crate) fn build(name: &str, cfg: &ExpConfig, m: &Metrics) -> (Profiled, ProfileTrace) {
+        let (profile_prog, program) = m.time(Stage::WorkloadBuild, || {
             let p = build_program(name, cfg.profile_input)
                 .unwrap_or_else(|| panic!("unknown workload {name:?}"));
             let r = build_program(name, cfg.run_input).expect("same registry");
             (p, r)
         });
-        let fingerprint = program_fingerprint(&run_prog);
+        let fingerprint = program_fingerprint(&program);
 
-        // Profiling pass (functional trace + cache annotation).
         let trace = m.time(Stage::Trace, || {
             FuncSim::new(&profile_prog).run_trace(cfg.trace_cap)
         });
@@ -246,44 +222,125 @@ impl PreparedBase {
             (ann, profile)
         });
 
-        // Problem loads.
         let min_misses = ((profile.total_l2_misses() as f64 * cfg.problem_frac) as u64).max(64);
         let mut probs = profile.problem_loads(&profile_prog, min_misses);
         probs.truncate(cfg.max_problem_loads);
         let problem_pcs: Vec<u32> = probs.iter().map(|pl| pl.pc).collect();
 
-        // Criticality cost functions.
-        let (costs, cp_breakdown, cp_ipc) = m.time(Stage::Critpath, || {
-            let cp = CritPathModel::new(&trace, &ann, cfg.critpath_config());
-            let costs: Vec<LoadCost> = problem_pcs.iter().map(|&pc| cp.load_cost(pc)).collect();
-            (costs, cp.breakdown(), cp.ipc())
-        });
-
-        // Baseline timing run on the run input (skipped when a stored
-        // replay was supplied).
-        let baseline = baseline.unwrap_or_else(|| {
-            let baseline = m.time(Stage::BaselineSim, || {
-                Simulator::new(&run_prog, cfg.sim).run()
-            });
-            m.add_sim_cycles(baseline.cycles);
-            baseline
-        });
-
-        let base = PreparedBase {
+        let profiled = Profiled {
             name: name.to_string(),
             profile_prog,
-            program: run_prog,
+            program,
+            fingerprint,
             profile,
             problem_pcs,
-            costs,
-            cp_breakdown,
-            baseline,
-            fingerprint,
-            cp_ipc,
         };
-        (base, trace, ann)
+        (profiled, ProfileTrace { trace, ann })
     }
 
+    /// The slice trees of the problem loads under `slice`.
+    pub(crate) fn trees(
+        &self,
+        run: &ProfileTrace,
+        slice: &SliceConfig,
+        m: &Metrics,
+    ) -> Vec<SliceTree> {
+        let trees: Vec<SliceTree> = m.time(Stage::Slice, || {
+            self.problem_pcs
+                .iter()
+                .map(|&pc| {
+                    SliceTree::build(
+                        &self.profile_prog,
+                        &run.trace,
+                        &run.ann,
+                        &self.profile,
+                        pc,
+                        slice,
+                    )
+                })
+                .collect()
+        });
+        m.add_slice_nodes(trees.iter().map(|t| t.len() as u64).sum());
+        trees
+    }
+
+    /// The critical-path artifacts of each of `cfgs`, which must share
+    /// this run's latency-free key: one skeleton, finished per config.
+    pub(crate) fn critpath(
+        &self,
+        run: &ProfileTrace,
+        cfgs: &[ExpConfig],
+        m: &Metrics,
+    ) -> Vec<CritPath> {
+        let skeleton = m.time(Stage::Critpath, || {
+            CritPathSkeleton::new(&run.trace, &run.ann)
+        });
+        cfgs.iter()
+            .map(|cfg| {
+                m.time(Stage::Critpath, || {
+                    let cp = skeleton.model(&cfg.sim.hierarchy, cfg.critpath_config());
+                    CritPath {
+                        costs: self
+                            .problem_pcs
+                            .iter()
+                            .map(|&pc| cp.load_cost(pc))
+                            .collect(),
+                        cp_breakdown: cp.breakdown(),
+                        cp_ipc: cp.ipc(),
+                    }
+                })
+            })
+            .collect()
+    }
+}
+
+/// One config's critical-path artifacts: the latency-dependent half of a
+/// [`PreparedBase`] that needs the trace.
+pub(crate) struct CritPath {
+    costs: Vec<LoadCost>,
+    cp_breakdown: Breakdown,
+    cp_ipc: f64,
+}
+
+impl CritPath {
+    /// Completes the base with its baseline run.
+    pub(crate) fn with_baseline(self, baseline: SimReport) -> PreparedBase {
+        PreparedBase {
+            costs: self.costs,
+            cp_breakdown: self.cp_breakdown,
+            baseline,
+            cp_ipc: self.cp_ipc,
+        }
+    }
+}
+
+/// Runs the unoptimized program on `cfg`'s machine, metered.
+pub(crate) fn simulate_baseline(program: &Program, cfg: &ExpConfig, m: &Metrics) -> SimReport {
+    let baseline = m.time(Stage::BaselineSim, || {
+        Simulator::new(program, cfg.sim).run()
+    });
+    m.add_sim_cycles(baseline.cycles);
+    baseline
+}
+
+/// The latency-dependent artifacts of one preparation that the slicing
+/// knobs do not touch: critical-path cost functions, breakdown and IPC
+/// estimate, and the baseline timing run. The engine caches them under
+/// [`PreparedBase::base_key`], so slice-knob sweeps (which rebuild
+/// trees) still share the critical-path and baseline work.
+#[derive(Clone, Debug)]
+pub struct PreparedBase {
+    /// Criticality-based cost functions of the problem loads.
+    pub costs: Vec<LoadCost>,
+    /// Critical-path breakdown of the unoptimized profiling run.
+    pub cp_breakdown: Breakdown,
+    /// Unoptimized timing-simulator baseline (on the run input).
+    pub baseline: SimReport,
+    /// Critical-path IPC estimate (fallback for unfinished baselines).
+    cp_ipc: f64,
+}
+
+impl PreparedBase {
     /// The engine's base-layer cache key: [`PreparedCore::structural_key`]
     /// minus `cfg.slice` — slicing knobs reshape the trees but not these
     /// artifacts.
@@ -303,24 +360,11 @@ impl PreparedBase {
     }
 
     /// The persistent-store key of the baseline timing run: exactly the
-    /// simulator's inputs — the binary's *content fingerprint* and the
-    /// machine configuration — so every name and sweep point sharing a
-    /// binary and a machine shares the stored run. Keying on content
-    /// rather than name is what dedupes generated scenarios whose knob
-    /// points emit identical programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a known workload or scenario (the run
-    /// binary must be built to fingerprint it).
-    pub fn baseline_key(name: &str, cfg: &ExpConfig) -> String {
-        let program = build_program(name, cfg.run_input)
-            .unwrap_or_else(|| panic!("unknown workload {name:?}"));
-        PreparedBase::baseline_key_for(&program_fingerprint(&program), cfg)
-    }
-
-    /// [`PreparedBase::baseline_key`] from an already-computed
-    /// fingerprint (skips rebuilding the binary).
+    /// simulator's inputs — the binary's *content fingerprint*
+    /// ([`program_fingerprint`]) and the machine configuration — so every
+    /// name and sweep point sharing a binary and a machine shares the
+    /// stored run. Keying on content rather than name is what dedupes
+    /// generated scenarios whose knob points emit identical programs.
     pub fn baseline_key_for(fingerprint: &str, cfg: &ExpConfig) -> String {
         versioned(
             MODEL_VERSION,
@@ -356,93 +400,41 @@ pub struct PreparedCore {
 }
 
 impl PreparedCore {
-    /// Builds the energy-independent pipeline for `name` under `cfg`.
+    /// Builds the energy-independent pipeline for `name` under `cfg`,
+    /// without an engine.
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a known workload.
     pub fn build(name: &str, cfg: &ExpConfig) -> PreparedCore {
-        PreparedCore::build_metered(name, cfg, None)
+        let m = Metrics::new();
+        let (profiled, run) = Profiled::build(name, cfg, &m);
+        let critpath = profiled
+            .critpath(&run, std::slice::from_ref(cfg), &m)
+            .pop()
+            .expect("one critical path per config");
+        let trees = profiled.trees(&run, &cfg.slice, &m);
+        drop(run);
+        let base = critpath.with_baseline(simulate_baseline(&profiled.program, cfg, &m));
+        PreparedCore::assemble(&profiled, trees, &base)
     }
 
-    /// [`PreparedCore::build`] with per-stage wall-clock and counters
-    /// recorded into `metrics`.
-    pub fn build_metered(name: &str, cfg: &ExpConfig, metrics: Option<&Metrics>) -> PreparedCore {
-        let base = PreparedBase::build_metered(name, cfg, metrics);
-        PreparedCore::from_base_metered(&base, cfg, metrics)
-    }
-
-    /// Finishes a (possibly cache-served) [`PreparedBase`] for `cfg`'s
-    /// slicing knobs: replays the (cheap, deterministic) profiling trace
-    /// and builds the slice trees. Everything else is cloned from `base`,
-    /// so two cores finished from one base are bit-identical outside their
-    /// trees.
-    pub fn from_base_metered(
+    /// Joins a config's latency-free half, its slice trees and its
+    /// (possibly cache-served) base.
+    pub(crate) fn assemble(
+        profiled: &Profiled,
+        trees: Vec<SliceTree>,
         base: &PreparedBase,
-        cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
     ) -> PreparedCore {
-        PreparedCore::from_base_metered_with(base, cfg, metrics, None)
-    }
-
-    /// [`PreparedCore::from_base_metered`], optionally reusing the
-    /// profiling trace and annotation the base build just produced (see
-    /// [`PreparedBase::build_metered_full`]). The replay is deterministic
-    /// in `(base.profile_prog, cfg.trace_cap, cfg.sim.hierarchy)`, so a
-    /// supplied pair yields bit-identical trees to a fresh replay; a cold
-    /// engine preparation that threads them through runs the 600k-event
-    /// functional simulation once instead of twice.
-    pub fn from_base_metered_with(
-        base: &PreparedBase,
-        cfg: &ExpConfig,
-        metrics: Option<&Metrics>,
-        side: Option<(Trace, MemAnnotation)>,
-    ) -> PreparedCore {
-        let fallback = Metrics::new();
-        let m = metrics.unwrap_or(&fallback);
-
-        // Slicing needs the raw trace, which the base layer does not keep
-        // (it would dominate cache memory). When the caller cannot supply
-        // it (a cache-served base), replaying it is a tiny fraction of
-        // the critpath + baseline work the base layer saves.
-        let (trace, ann) = match side {
-            Some((trace, ann)) => (trace, ann),
-            None => {
-                let trace = m.time(Stage::Trace, || {
-                    FuncSim::new(&base.profile_prog).run_trace(cfg.trace_cap)
-                });
-                let ann = m.time(Stage::Profile, || {
-                    MemAnnotation::compute(&trace, cfg.sim.hierarchy)
-                });
-                (trace, ann)
-            }
-        };
-        let trees: Vec<SliceTree> = m.time(Stage::Slice, || {
-            base.problem_pcs
-                .iter()
-                .map(|&pc| {
-                    SliceTree::build(
-                        &base.profile_prog,
-                        &trace,
-                        &ann,
-                        &base.profile,
-                        pc,
-                        &cfg.slice,
-                    )
-                })
-                .collect()
-        });
-        m.add_slice_nodes(trees.iter().map(|t| t.len() as u64).sum());
-
         PreparedCore {
-            name: base.name.clone(),
-            program: base.program.clone(),
-            profile: base.profile.clone(),
+            name: profiled.name.clone(),
+            program: profiled.program.clone(),
+            profile: profiled.profile.clone(),
             trees,
             costs: base.costs.clone(),
             cp_breakdown: base.cp_breakdown,
             baseline: base.baseline.clone(),
-            fingerprint: base.fingerprint.clone(),
+            fingerprint: profiled.fingerprint.clone(),
             cp_ipc: base.cp_ipc,
         }
     }
@@ -464,6 +456,32 @@ impl PreparedCore {
                 cfg.problem_frac,
                 cfg.max_problem_loads,
             ),
+        )
+    }
+
+    /// The inputs of the latency-free artifacts (see the module docs),
+    /// field by field: the name, both inputs, the trace cap, the geometry
+    /// (not the latency) of every cache, the slicing knobs and the
+    /// problem-load knobs. Configs with equal keys share one profiling
+    /// trace, profile, set of slice trees and critical-path skeleton.
+    /// The key is never persisted.
+    pub fn latency_free_key(name: &str, cfg: &ExpConfig) -> String {
+        let h = &cfg.sim.hierarchy;
+        let geometry =
+            |c: &preexec_mem::CacheConfig| format!("{}/{}/{}", c.size_bytes, c.line_bytes, c.assoc);
+        format!(
+            "{name}|profile:{}|run:{}|cap:{}|l1i:{}|l1d:{}|l2:{}|window:{}|body:{}|nodes:{}|frac:{}|loads:{}",
+            cfg.profile_input,
+            cfg.run_input,
+            cfg.trace_cap,
+            geometry(&h.l1i),
+            geometry(&h.l1d),
+            geometry(&h.l2),
+            cfg.slice.window,
+            cfg.slice.max_body,
+            cfg.slice.max_tree_nodes,
+            cfg.problem_frac,
+            cfg.max_problem_loads,
         )
     }
 }
@@ -651,10 +669,66 @@ mod tests {
         for key in [
             PreparedCore::structural_key("gap", &cfg),
             PreparedBase::base_key("gap", &cfg),
-            PreparedBase::baseline_key("gap", &cfg),
+            PreparedBase::baseline_key_for("0123abcd", &cfg),
         ] {
             assert!(key.starts_with(&prefix), "unversioned key {key:?}");
         }
+    }
+
+    #[test]
+    fn latency_free_key_ignores_latencies_and_energy_but_not_its_inputs() {
+        let base = ExpConfig::default();
+        let key = |cfg: &ExpConfig| PreparedCore::latency_free_key("gap", cfg);
+        let mut energy = base;
+        energy.energy = energy.energy.with_idle_factor(0.10);
+        assert_eq!(key(&energy), key(&base), "energy constants share the key");
+        let same: [fn(&mut ExpConfig); 4] = [
+            |c| c.sim = c.sim.with_mem_latency(300),
+            |c| c.sim.hierarchy.l1d.latency = 5,
+            |c| c.sim.hierarchy.l2.latency = 30,
+            |c| c.sim.rob_size /= 2,
+        ];
+        for (k, change) in same.iter().enumerate() {
+            let mut cfg = base;
+            change(&mut cfg);
+            assert_eq!(key(&cfg), key(&base), "change {k} must share the key");
+            assert_ne!(
+                PreparedCore::structural_key("gap", &cfg),
+                PreparedCore::structural_key("gap", &base),
+                "change {k} is still a different core"
+            );
+        }
+        let differ: [fn(&mut ExpConfig); 16] = [
+            |c| c.sim.hierarchy.l1i.size_bytes *= 2,
+            |c| c.sim.hierarchy.l1i.line_bytes *= 2,
+            |c| c.sim.hierarchy.l1i.assoc *= 2,
+            |c| c.sim.hierarchy.l1d.size_bytes *= 2,
+            |c| c.sim.hierarchy.l1d.line_bytes *= 2,
+            |c| c.sim.hierarchy.l1d.assoc *= 2,
+            |c| c.sim.hierarchy.l2.size_bytes *= 2,
+            |c| c.sim.hierarchy.l2.line_bytes *= 2,
+            |c| c.sim.hierarchy.l2.assoc *= 2,
+            |c| c.profile_input = InputSet::Ref,
+            |c| c.run_input = InputSet::Ref,
+            |c| c.trace_cap /= 2,
+            |c| c.slice.window /= 2,
+            |c| c.slice.max_body /= 2,
+            |c| c.problem_frac *= 2.0,
+            |c| c.max_problem_loads += 1,
+        ];
+        for (k, change) in differ.iter().enumerate() {
+            let mut cfg = base;
+            change(&mut cfg);
+            assert_ne!(key(&cfg), key(&base), "change {k} must split the key");
+        }
+        let mut nodes = base;
+        nodes.slice.max_tree_nodes /= 2;
+        assert_ne!(key(&nodes), key(&base));
+        assert_ne!(
+            PreparedCore::latency_free_key("mcf", &base),
+            key(&base),
+            "the bench is part of the key"
+        );
     }
 
     #[test]

@@ -68,6 +68,16 @@ impl HierarchyConfig {
         self
     }
 
+    /// The access latency of a data load served at `level`: the sum of
+    /// the hit latencies on its way down, plus memory for a miss.
+    pub fn load_latency(&self, level: Level) -> u64 {
+        match level {
+            Level::L1 => self.l1d.latency,
+            Level::L2 => self.l1d.latency + self.l2.latency,
+            Level::Mem => self.l1d.latency + self.l2.latency + self.mem_latency,
+        }
+    }
+
     /// Overrides the main-memory latency (Figure 5 memory-latency sweep).
     pub fn with_mem_latency(mut self, latency: u64) -> Self {
         self.mem_latency = latency;

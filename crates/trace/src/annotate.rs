@@ -72,12 +72,8 @@ impl MemAnnotation {
     /// The access latency implied by the serving level, for use by the
     /// critical-path model.
     pub fn latency(&self, seq: Seq) -> u64 {
-        match self.served(seq) {
-            Some(Level::L1) => self.cfg.l1d.latency,
-            Some(Level::L2) => self.cfg.l1d.latency + self.cfg.l2.latency,
-            Some(Level::Mem) => self.cfg.l1d.latency + self.cfg.l2.latency + self.cfg.mem_latency,
-            None => 0,
-        }
+        self.served(seq)
+            .map_or(0, |level| self.cfg.load_latency(level))
     }
 
     /// Sequence numbers of all L2-missing loads, in retirement order.
